@@ -9,7 +9,10 @@ patch radius.  Per-point labels, when present, live in the free-form string
 metadata map under ``labels`` as a comma-separated list.
 
 Coordinates are serialized with Python's shortest round-trip float text, so
-``parse_config(serialize(doc))`` reproduces ``doc`` exactly.
+``parse_config(serialize(doc))`` reproduces ``doc`` exactly.  ``serialize``
+writes the coordinate lists itself, with the bytes ``json.dumps(indent=2)``
+would give; non-finite coordinates are refused rather than written as
+``NaN`` or ``Infinity``.
 """
 from __future__ import annotations
 
@@ -190,19 +193,45 @@ def parse_config(text):
     )
 
 
+def _coords_json(rows, fieldname):
+    """JSON text of a list of float coordinate rows as the value of a
+    top-level field.
+
+    The bytes are those of json.dumps(indent=2) at that depth, written here
+    because json's indenting encoder formats every float in Python; float
+    text is float.__repr__, which is also what json writes.  A non-finite
+    coordinate raises ValidationError, since json would write NaN or
+    Infinity, which parse_config refuses.
+    """
+    if not rows:
+        return "[]"
+    sep = ",\n      "
+    items = [f"[\n      {sep.join(map(float.__repr__, row))}\n    ]" if row else "[]" for row in rows]
+    text = "[\n    " + ",\n    ".join(items) + "\n  ]"
+    if "n" in text:  # repr of a finite float never has an "n"; nan and inf do
+        for i, row in enumerate(rows):
+            if not all(map(math.isfinite, row)):
+                where = f"{fieldname}[{i}]"
+                raise ValidationError(f"{where} must be finite, got {list(row)!r}", field=where)
+    return text
+
+
 def serialize(doc):
-    """Render a document as deterministic JSON text."""
-    out = {"space": doc.space, "kind": doc.kind}
+    """Render a document as deterministic JSON text: the text of
+    json.dumps(indent=2) plus a newline, with the keys in a fixed order."""
+    fields = [("space", json.dumps(doc.space)), ("kind", json.dumps(doc.kind))]
     if doc.kind == "periodic":
-        out["basis"] = [list(row) for row in doc.basis]
-        out["motif"] = [list(p) for p in doc.points]
+        fields.append(("basis", _coords_json(doc.basis, "basis")))
+        fields.append(("motif", _coords_json(doc.points, "motif")))
     else:
-        out["points"] = [list(p) for p in doc.points]
+        fields.append(("points", _coords_json(doc.points, "points")))
         if doc.kind == "patch":
-            out["patch_radius"] = doc.patch_radius
+            _require_number(doc.patch_radius, "patch_radius")
+            fields.append(("patch_radius", json.dumps(doc.patch_radius)))
     if doc.metadata:
-        out["metadata"] = {k: doc.metadata[k] for k in sorted(doc.metadata)}
-    return json.dumps(out, indent=2) + "\n"
+        meta = json.dumps({k: doc.metadata[k] for k in sorted(doc.metadata)}, indent=2)
+        fields.append(("metadata", meta.replace("\n", "\n  ")))
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {v}" for k, v in fields) + "\n}\n"
 
 
 def to_runtime(doc):
@@ -233,15 +262,15 @@ def document_from(config, metadata=None):
         return ConfigDocument(
             space="euclidean2",
             kind="periodic",
-            points=tuple(tuple(float(x) for x in p) for p in config.motif),
-            basis=tuple(tuple(float(x) for x in row) for row in config.basis),
+            points=tuple(map(tuple, config.motif.tolist())),
+            basis=tuple(map(tuple, config.basis.tolist())),
             metadata=meta,
         )
     if isinstance(config, PatchConfig):
         return ConfigDocument(
             space="hyperbolic2",
             kind="patch",
-            points=tuple(tuple(float(x) for x in p) for p in config.points),
+            points=tuple(map(tuple, config.points.tolist())),
             patch_radius=float(config.patch_radius),
             metadata=meta,
         )
@@ -249,7 +278,7 @@ def document_from(config, metadata=None):
         return ConfigDocument(
             space=_DOC_SPACE[config.space],
             kind="finite",
-            points=tuple(tuple(float(x) for x in p) for p in config.points),
+            points=tuple(map(tuple, config.points.tolist())),
             metadata=meta,
         )
     raise TypeError(f"unsupported configuration object {type(config).__name__}")

@@ -24,11 +24,13 @@ from .configs import FinitePointSet, PatchConfig, PeriodicConfig
 from .errors import ParameterDomainError
 from .geometry import as_vec
 from .hyperbolic import (
+    _half_turn,
+    _midpoint,
+    _reflect_through,
+    _segment_dist,
+    as_disk_point,
     euclid_radius,
-    half_turn,
-    hyp_midpoint,
-    reflect_through,
-    segment_dist_to_origin,
+    radial_dist,
 )
 
 _SQRT3 = math.sqrt(3.0)
@@ -39,6 +41,11 @@ _DEPTH_STEP_FRACTION = 2.0 / 3.0
 
 _DEDUP = 1e-9
 _HASH_CELL = 1e-6  # spatial-hash cell; far above dedup, far below point gaps
+_HASH_SCALE = 1.0 / _HASH_CELL
+# A point whose offset from its cell centre stays below this (in cells) has
+# every point within _DEDUP of it in its own cell; the margin of one more
+# _DEDUP covers the rounding of z * _HASH_SCALE.
+_HASH_INNER = 0.5 - 2.0 * _DEDUP * _HASH_SCALE
 
 
 @dataclass(frozen=True)
@@ -228,20 +235,23 @@ def _platonic_edges(verts):
     return pairs
 
 
-def _platonic_faces(verts):
-    from scipy.spatial import ConvexHull
+# The face centres of a Platonic solid point at the vertices of its dual:
+# (dual, sign, axis order) that carries _platonic_vertices(dual) onto them.
+_DUALS = {
+    "tetrahedron": ("tetrahedron", -1.0, [0, 1, 2]),
+    "cube": ("octahedron", 1.0, [0, 1, 2]),
+    "octahedron": ("cube", 1.0, [0, 1, 2]),
+    "icosahedron": ("dodecahedron", 1.0, [0, 2, 1]),
+    "dodecahedron": ("icosahedron", 1.0, [0, 2, 1]),
+}
 
-    hull = ConvexHull(verts)
-    groups = {}
-    for simplex, eq in zip(hull.simplices, hull.equations):
-        key = tuple(np.round(eq, 7))
-        groups.setdefault(key, set()).update(int(i) for i in simplex)
-    centers = []
-    for key in sorted(groups):
-        face = verts[sorted(groups[key])]
-        c = face.mean(axis=0)
-        centers.append(c / np.linalg.norm(c))
-    return np.array(centers)
+
+def _platonic_faces(kind):
+    """Unit face centres, ordered by their coordinates rounded to 7 places."""
+    dual, sign, axes = _DUALS[kind]
+    centers = sign * _platonic_vertices(dual)[:, axes]
+    keys = np.round(centers, 7)
+    return centers[np.lexsort(keys.T[::-1])]
 
 
 def parse_sphere_kind(kind):
@@ -302,7 +312,7 @@ def gen_sphere(kind, flags, n=None):
             pieces.append(mids)
             labels += ["edge_midpoint"] * len(mids)
         if flags.face_centers:
-            centers = _platonic_faces(verts)
+            centers = _platonic_faces(name)
             if len(centers) != _FACE_COUNTS[name]:
                 raise RuntimeError(f"face detection for {name} found {len(centers)} faces")
             pieces.append(centers)
@@ -315,7 +325,15 @@ def gen_sphere(kind, flags, n=None):
 
 
 class _PointStore:
-    """Interning store for disk points with spatial-hash deduplication."""
+    """Interning store for disk points with spatial-hash deduplication.
+
+    intern(z) returns (index, created): the index of the first stored point
+    within _DEDUP of z, or of z itself, which is validated as a disk point
+    (InvalidPointError) and appended.  Only z's own hash cell is searched
+    unless z lies within _DEDUP of the cell's edge; the cell is far wider
+    than _DEDUP, so the first match is the one a search of all nine
+    surrounding cells finds.
+    """
 
     __slots__ = ("pos", "grid")
 
@@ -324,18 +342,29 @@ class _PointStore:
         self.grid = {}
 
     def intern(self, z):
-        scale = 1.0 / _HASH_CELL
-        kx = round(z.real * scale)
-        ky = round(z.imag * scale)
+        x = z.real * _HASH_SCALE
+        y = z.imag * _HASH_SCALE
+        try:
+            kx = round(x)
+            ky = round(y)
+        except (ValueError, OverflowError):  # NaN or infinite coordinates
+            as_disk_point(z)
+            raise
         pos = self.pos
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for i in self.grid.get((kx + dx, ky + dy), ()):
-                    if abs(pos[i] - z) <= _DEDUP:
-                        return i, False
+        grid = self.grid
+        if abs(x - kx) < _HASH_INNER and abs(y - ky) < _HASH_INNER:
+            for i in grid.get((kx, ky), ()):
+                if abs(pos[i] - z) <= _DEDUP:
+                    return i, False
+        else:
+            for dx in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    for i in grid.get((kx + dx, ky + dy), ()):
+                        if abs(pos[i] - z) <= _DEDUP:
+                            return i, False
         idx = len(pos)
-        pos.append(z)
-        self.grid.setdefault((kx, ky), []).append(idx)
+        pos.append(as_disk_point(z))
+        grid.setdefault((kx, ky), []).append(idx)
         return idx, True
 
 
@@ -385,6 +414,7 @@ def _build_triangle_group(p, q, r, depth):
         store.intern(z)
         vtypes.append(t)
     pos = store.pos
+    rad = [radial_dist(abs(z)) for z in pos]  # distance of each vertex from the origin
 
     tiles = {frozenset((0, 1, 2)): (0, 1, 2)}
     # edge key (i, j) with i < j -> [adjacent tile count, opposite vertex]
@@ -393,7 +423,7 @@ def _build_triangle_group(p, q, r, depth):
     tick = itertools.count()
     for u, v, opp in ((1, 2, 0), (0, 2, 1), (0, 1, 2)):
         edges[(u, v)] = [1, opp]
-        heapq.heappush(heap, (segment_dist_to_origin(pos[u], pos[v]), next(tick), u, v))
+        heapq.heappush(heap, (_segment_dist(pos[u], pos[v], min(rad[u], rad[v])), next(tick), u, v))
 
     patch_radius = 0.0
     while heap:
@@ -406,9 +436,10 @@ def _build_triangle_group(p, q, r, depth):
             break
         opp = entry[1]
         entry[0] = 2
-        nidx, created = store.intern(reflect_through(pos[u], pos[v], pos[opp]))
+        nidx, created = store.intern(_reflect_through(pos[u], pos[v], pos[opp]))
         if created:
             vtypes.append(vtypes[opp])
+            rad.append(radial_dist(abs(pos[nidx])))
         key = frozenset((u, v, nidx))
         if key in tiles:
             continue
@@ -418,7 +449,8 @@ def _build_triangle_group(p, q, r, depth):
             existing = edges.get(ek)
             if existing is None:
                 edges[ek] = [1, o]
-                heapq.heappush(heap, (segment_dist_to_origin(pos[a], pos[b]), next(tick), ek[0], ek[1]))
+                end = min(rad[a], rad[b])
+                heapq.heappush(heap, (_segment_dist(pos[a], pos[b], end), next(tick), ek[0], ek[1]))
             else:
                 existing[0] = 2
     return _Tiling(
@@ -476,6 +508,7 @@ def _build_rotation_tiling(alpha, beta, gamma, m, depth):
     for z in seed:
         store.intern(z)
     pos = store.pos
+    rad = [radial_dist(abs(z)) for z in pos]  # distance of each vertex from the origin
 
     mstore = _PointStore()
     mid_classes = []
@@ -503,10 +536,11 @@ def _build_rotation_tiling(alpha, beta, gamma, m, depth):
                 raise RuntimeError("inconsistent edge class in rotation tiling")
             existing[0] += 1
             return
-        mid = hyp_midpoint(pos[i_first], pos[i_second])
+        mid = _midpoint(pos[i_first], pos[i_second])
         intern_mid(mid, cls)
         edges[ek] = [1, opp, mid, cls, (i_first, i_second)]
-        heapq.heappush(heap, (segment_dist_to_origin(pos[ek[0]], pos[ek[1]]), next(tick), ek[0], ek[1]))
+        u, v = ek
+        heapq.heappush(heap, (_segment_dist(pos[u], pos[v], min(rad[u], rad[v])), next(tick), u, v))
 
     add_edge(0, 1, 2, "ab")
     add_edge(0, 2, 1, "ac")
@@ -522,7 +556,9 @@ def _build_rotation_tiling(alpha, beta, gamma, m, depth):
             patch_radius = dist
             break
         _, opp, mid, cls, (first, second) = entry
-        nidx, _ = store.intern(half_turn(mid, pos[opp]))
+        nidx, created = store.intern(_half_turn(as_disk_point(mid), pos[opp]))
+        if created:
+            rad.append(radial_dist(abs(pos[nidx])))
         # a half-turn swaps the popped edge's endpoints and carries the
         # opposite vertex to the new one; roles follow the moved vertices
         if cls == "ab":

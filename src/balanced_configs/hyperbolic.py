@@ -4,6 +4,13 @@ Points are complex numbers z with |z| < 1.  Geodesics are diameters or
 circular arcs meeting the unit circle at right angles.  The model is
 conformal, so angles (and in particular unit tangent directions at a point
 translated to the origin) agree with their Euclidean counterparts.
+
+Each public function validates its inputs once with as_disk_point and then
+calls a private core (_translate, _untranslate, _midpoint, _half_turn,
+_reflect_through, _segment_dist, ...) that takes complex numbers already
+known to lie in the open disk and does no checking of its own.  Every
+formula lives in its core only; the tiling builders call the cores directly
+and validate each point once, when it is created.
 """
 from __future__ import annotations
 
@@ -60,49 +67,66 @@ def euclid_radius(d):
     return math.tanh(d / 2.0)
 
 
-def mobius_translate(center, z):
-    """The disk automorphism sending center to the origin, applied to z."""
-    c = as_disk_point(center)
-    z = as_disk_point(z)
+def _translate(c, z):
     return (z - c) / (1.0 - c.conjugate() * z)
 
 
-def mobius_untranslate(center, w):
-    """Inverse of mobius_translate(center, .)."""
-    c = as_disk_point(center)
-    w = as_disk_point(w)
+def _untranslate(c, w):
     return (w + c) / (1.0 + c.conjugate() * w)
 
 
-def hyp_log_dir(base, target, dedup_tol=1e-9):
-    """Unit initial direction (as a complex number in the chart at base
-    translated to the origin) of the geodesic from base to target."""
-    w = mobius_translate(base, target)
+def _log_dir(base, target, dedup_tol=1e-9):
+    w = _translate(base, target)
     r = abs(w)
     if r <= dedup_tol:
         raise DegenerateDirectionError("cannot take a direction between coincident points")
     return w / r
 
 
-def hyp_midpoint(a, b):
-    """Hyperbolic midpoint of the geodesic segment from a to b."""
-    w = mobius_translate(a, b)
+def _midpoint(a, b):
+    w = _translate(a, b)
     r = abs(w)
     if r == 0.0:
-        return as_disk_point(a)
+        return a
     # tanh(artanh(r)/2) without transcendental round trips
     rm = r / (1.0 + math.sqrt(1.0 - r * r))
-    return mobius_untranslate(a, (rm / r) * w)
+    return _untranslate(a, (rm / r) * w)
+
+
+def _half_turn(center, z):
+    return _untranslate(center, -_translate(center, z))
+
+
+def mobius_translate(center, z):
+    """The disk automorphism sending center to the origin, applied to z."""
+    return _translate(as_disk_point(center), as_disk_point(z))
+
+
+def mobius_untranslate(center, w):
+    """Inverse of mobius_translate(center, .)."""
+    return _untranslate(as_disk_point(center), as_disk_point(w))
+
+
+def hyp_log_dir(base, target, dedup_tol=1e-9):
+    """Unit initial direction (as a complex number in the chart at base
+    translated to the origin) of the geodesic from base to target."""
+    return _log_dir(as_disk_point(base), as_disk_point(target), dedup_tol)
+
+
+def hyp_midpoint(a, b):
+    """Hyperbolic midpoint of the geodesic segment from a to b."""
+    return _midpoint(as_disk_point(a), as_disk_point(b))
 
 
 def half_turn(center, z):
     """Rotate z by pi about a disk point."""
-    return mobius_untranslate(center, -mobius_translate(center, z))
+    return _half_turn(as_disk_point(center), as_disk_point(z))
 
 
 def rotate_about(center, angle, z):
     """Rotate z about a disk point by the given angle."""
-    return mobius_untranslate(center, cmath.exp(1j * angle) * mobius_translate(center, z))
+    c = as_disk_point(center)
+    return _untranslate(c, cmath.exp(1j * angle) * _translate(c, as_disk_point(z)))
 
 
 @dataclass(frozen=True)
@@ -132,14 +156,17 @@ class Geodesic:
 
 def geodesic_through(a, b, dedup_tol=1e-9):
     """The unique geodesic through two distinct disk points."""
-    a = as_disk_point(a)
-    b = as_disk_point(b)
+    return Geodesic(*_geodesic(as_disk_point(a), as_disk_point(b), dedup_tol))
+
+
+def _geodesic(a, b, dedup_tol=1e-9):
+    """The fields (kind, direction, center, radius) of geodesic_through."""
     if abs(a - b) <= dedup_tol:
         raise DegenerateDirectionError("two distinct points are required to span a geodesic")
     cross = a.real * b.imag - a.imag * b.real
     # Collinear with the origin: the geodesic is a diameter.
     if abs(cross) <= 1e-13 * max(abs(a) * abs(b), abs(a - b)):
-        return Geodesic(kind="diameter", direction=(b - a) / abs(b - a))
+        return "diameter", (b - a) / abs(b - a), 0j, 0.0
     # Solve for the center of the circle through a, b orthogonal to the unit
     # circle: 2 c . p = |p|^2 + 1 for p in {a, b}.
     ra = abs(a) ** 2 + 1.0
@@ -149,7 +176,7 @@ def geodesic_through(a, b, dedup_tol=1e-9):
     cy = (rb * a.real - ra * b.real) / det
     c = complex(cx, cy)
     r = math.sqrt(abs(c) ** 2 - 1.0)
-    return Geodesic(kind="arc", center=c, radius=r)
+    return "arc", 0j, c, r
 
 
 def reflect_geodesic(g, z):
@@ -171,10 +198,13 @@ def reflect_through(a, b, z):
     Conjugates the reflection to a diameter through the origin, which stays
     numerically stable even when the geodesic is nearly a diameter.
     """
-    a = as_disk_point(a)
-    w = mobius_translate(a, z)
-    u = hyp_log_dir(a, b)
-    return mobius_untranslate(a, u * u * w.conjugate())
+    return _reflect_through(as_disk_point(a), as_disk_point(b), as_disk_point(z))
+
+
+def _reflect_through(a, b, z):
+    w = _translate(a, z)
+    u = _log_dir(a, b)
+    return _untranslate(a, u * u * w.conjugate())
 
 
 def segment_dist_to_origin(a, b):
@@ -187,22 +217,27 @@ def segment_dist_to_origin(a, b):
     """
     a = as_disk_point(a)
     b = as_disk_point(b)
-    end = min(radial_dist(abs(a)), radial_dist(abs(b)))
+    return _segment_dist(a, b, min(radial_dist(abs(a)), radial_dist(abs(b))))
+
+
+def _segment_dist(a, b, end):
+    """Core of segment_dist_to_origin; end is the hyperbolic distance from
+    the origin to the nearer endpoint."""
     if abs(a - b) <= 1e-15:
         return end
-    g = geodesic_through(a, b)
-    if g.kind == "diameter":
+    kind, direction, center, radius = _geodesic(a, b)
+    if kind == "diameter":
         # The origin lies on the carrier line; distance is zero iff the origin
         # sits between the endpoints along the diameter.
-        ta = (a / g.direction).real
-        tb = (b / g.direction).real
+        ta = (a / direction).real
+        tb = (b / direction).real
         if min(ta, tb) <= 0.0 <= max(ta, tb):
             return 0.0
         return end
-    foot = g.center - g.radius * (g.center / abs(g.center))
+    foot = center - radius * (center / abs(center))
     # Is the facing point inside the arc spanned by a and b?
-    pa = cmath.phase((a - g.center) / (foot - g.center))
-    pb = cmath.phase((b - g.center) / (foot - g.center))
+    pa = cmath.phase((a - center) / (foot - center))
+    pb = cmath.phase((b - center) / (foot - center))
     if min(pa, pb) <= 0.0 <= max(pa, pb):
-        return radial_dist(abs(g.center) - g.radius)
+        return radial_dist(abs(center) - radius)
     return end

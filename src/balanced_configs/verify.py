@@ -165,6 +165,16 @@ def verify_plane(c, params=VerifyParams()):
     )
 
 
+def _row_dots(a, b):
+    """Dot product of each row of a with the matching row of b (broadcast).
+
+    Each row is one stacked 1-D matmul, the dot product that a[i] @ b[i] and
+    np.linalg.norm take, so results are bit-identical to a per-row loop; a
+    row sum of a * b may round differently.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def verify_sphere(c, params=VerifyParams(), mode="scalar_multiple"):
     """Check spherical balance at every point, in either formulation.
 
@@ -182,16 +192,21 @@ def verify_sphere(c, params=VerifyParams(), mode="scalar_multiple"):
     cutoff = params.max_radius * min_d
     checks = []
     for base in c.points:
-        for cl in distance_classes(c, base, cutoff, tol):
-            total = cl.points.sum(axis=0)
-            if mode == "scalar_multiple":
-                residual = np.cross(total, base)
-            else:
-                residual = total - (total @ base) * base
-            norm = float(np.linalg.norm(residual))
+        classes = distance_classes(c, base, cutoff, tol)
+        if not classes:
+            continue
+        # one batched residual per base over its stacked class sums
+        totals = np.array([cl.points.sum(axis=0) for cl in classes])
+        if mode == "scalar_multiple":
+            residuals = np.cross(totals, base)
+        else:
+            residuals = totals - _row_dots(totals, base[None, :])[:, None] * base
+        norms = np.sqrt(_row_dots(residuals, residuals))
+        base_tuple = tuple(base)
+        for cl, residual, norm in zip(classes, residuals, norms.tolist()):
             checks.append(
                 ClassCheck(
-                    base=tuple(base),
+                    base=base_tuple,
                     distance=cl.distance,
                     size=cl.size,
                     residual=tuple(residual),

@@ -92,6 +92,30 @@ class TestDocumentRoundTrip:
         )
         assert parse_config(serialize(doc)) == doc
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_refused(self, bad):
+        # json would write NaN or Infinity, which parse_config refuses
+        cases = [
+            (ConfigDocument("euclidean2", "finite", ((0.0, 0.0), (1.0, bad))), "points[1]"),
+            (
+                ConfigDocument(
+                    "euclidean2", "periodic", ((0.0, 0.0), (bad, 0.5)), basis=((1.0, 0.0), (0.0, 1.0))
+                ),
+                "motif[1]",
+            ),
+            (
+                ConfigDocument(
+                    "euclidean2", "periodic", ((0.0, 0.0),), basis=((1.0, 0.0), (0.0, bad))
+                ),
+                "basis[1]",
+            ),
+            (ConfigDocument("hyperbolic2", "patch", ((0.0, 0.0),), patch_radius=bad), "patch_radius"),
+        ]
+        for doc, where in cases:
+            with pytest.raises(ValidationError) as info:
+                serialize(doc)
+            assert info.value.field == where
+
     def test_serialization_is_deterministic(self):
         doc = ConfigDocument(
             "euclidean2", "finite", ((0.0, 0.0),), metadata={"b": "2", "a": "1"}

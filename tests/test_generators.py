@@ -2,15 +2,22 @@
 triangle geometry measured independently, growth monotonicity, and patch
 completeness cross-checked against deeper builds."""
 import cmath
+import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, cKDTree
 
+import balanced_configs
 from balanced_configs.configs import min_distance, points_within
-from balanced_configs.errors import ParameterDomainError
+from balanced_configs.docio import document_from, serialize
+from balanced_configs.errors import InvalidPointError, ParameterDomainError
 from balanced_configs.generators import (
+    _PointStore,
     RotationTilingFlags,
     RotationTilingParams,
     SubsetFlags,
@@ -28,6 +35,17 @@ from balanced_configs.generators import (
 from balanced_configs.hyperbolic import hyp_dist, hyp_log_dir
 
 SQRT3 = math.sqrt(3.0)
+
+
+def _hull_face_centers(verts):
+    """Reference: unit face centres from the convex hull, grouped by face
+    plane and ordered by the plane equation rounded to 7 places."""
+    hull = ConvexHull(verts)
+    groups = {}
+    for simplex, eq in zip(hull.simplices, hull.equations):
+        groups.setdefault(tuple(np.round(eq, 7)), set()).update(int(i) for i in simplex)
+    centers = [verts[sorted(groups[key])].mean(axis=0) for key in sorted(groups)]
+    return np.array([c / np.linalg.norm(c) for c in centers])
 
 
 class TestPlanarFamilies:
@@ -97,6 +115,31 @@ class TestSphereFamilies:
         assert (v.n, e.n, f.n) == (nv, ne, nf)
         both = gen_sphere(kind, SubsetFlags(True, True, True))
         assert both.n == nv + ne + nf
+
+    @pytest.mark.parametrize("kind", sorted(COUNTS))
+    def test_face_centers_match_convex_hull(self, kind):
+        verts = gen_sphere(kind, SubsetFlags(True, False, False)).points
+        faces = gen_sphere(kind, SubsetFlags(False, False, True)).points
+        assert np.abs(faces - _hull_face_centers(verts)).max() <= 1e-15
+
+    def test_generate_leaves_scipy_spatial_unloaded(self):
+        src = os.path.dirname(os.path.dirname(balanced_configs.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys; from balanced_configs.generators import SubsetFlags, gen_sphere; "
+            "[gen_sphere(k, SubsetFlags(True, True, True)) for k in "
+            "('tetrahedron', 'cube', 'octahedron', 'dodecahedron', 'icosahedron')]; "
+            "print('scipy.spatial' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_all_points_unit_norm(self):
         c = gen_sphere("dodecahedron", SubsetFlags(True, True, True))
@@ -271,3 +314,68 @@ class TestRotationTiling:
         first_d = float(np.sort(c.center_dists()[c.center_dists() > 1e-12])[0])
         nbrs = points_within(c, (0.0, 0.0), first_d + 1e-9)
         assert len(nbrs) == 9
+
+
+class TestPointStore:
+    # offsets of a coordinate from the centre of its 1e-6 hash cell: well
+    # inside the cell, 0.5e-9 from its edge, and on the edge
+    EDGE_OFFSETS = (0.0, 0.3e-6, 0.4995e-6, 0.5e-6, -0.5e-6)
+
+    @pytest.mark.parametrize("ox", EDGE_OFFSETS)
+    @pytest.mark.parametrize("oy", EDGE_OFFSETS)
+    def test_dedup_across_cell_edges(self, ox, oy):
+        # points just under 1e-9 away merge, points 2e-9 away stay distinct,
+        # whichever cell each falls in
+        store = _PointStore()
+        z = complex(0.25 + ox, -0.125 + oy)  # 0.25 and -0.125 are cell centres
+        assert store.intern(z) == (0, True)
+        for step in (1, 1j, -1, -1j, (1 + 1j) / math.sqrt(2.0)):
+            assert store.intern(z + 0.999e-9 * step) == (0, False)
+        fresh = [store.intern(z + 2e-9 * step) for step in (1, 1j, -1, -1j)]
+        assert fresh == [(1, True), (2, True), (3, True), (4, True)]
+        assert store.intern(z + 2e-9) == (1, False)
+        assert store.pos[0] == z
+
+    def test_straddling_pairs(self):
+        # pairs whose members fall into neighbouring hash cells
+        store = _PointStore()
+        edge = 0.1234565  # a cell edge: 1e6 * edge is a half-integer
+        a, created = store.intern(complex(edge - 0.5e-9, 0.0))
+        assert created
+        assert store.intern(complex(edge + 0.5e-9, 0.0)) == (a, False)
+        b, created = store.intern(complex(edge + 1.5e-9, 0.0))
+        assert created and b != a
+        c, created = store.intern(complex(0.0, edge - 1e-9))
+        assert created
+        assert store.intern(complex(0.0, edge + 1e-9)) == (c + 1, True)
+
+    @pytest.mark.parametrize(
+        "z",
+        [1 + 0j, 0.6 + 0.8j, -2j, complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 0.0)],
+    )
+    def test_rejects_points_off_the_disk(self, z):
+        store = _PointStore()
+        with pytest.raises(InvalidPointError):
+            store.intern(z)
+        assert store.pos == [] and store.grid == {}
+
+
+class TestGoldenDocuments:
+    """Depth-4 documents pinned by sha256: the tiling builders and the
+    document writer must reproduce these bytes exactly."""
+
+    def _sha(self, config):
+        return hashlib.sha256(serialize(document_from(config)).encode()).hexdigest()
+
+    def test_rotation_tiling_all_sets(self):
+        params = RotationTilingParams(math.radians(30), math.radians(40), math.radians(50), 3, 4)
+        config = gen_hyp_rotation_tiling(params, RotationTilingFlags(True, True, True, True))
+        assert config.n == 4303
+        assert self._sha(config) == "2f379b7888ac75e610d31f8cc31e05339107bc841469787070f6887bfd9c104d"
+
+    def test_triangle_group_all_sets(self):
+        config = gen_hyp_triangle_group(
+            TriangleGroupParams(2, 3, 7, 4), TriangleGroupFlags(True, True, True)
+        )
+        assert config.n == 137
+        assert self._sha(config) == "2c7588cc5a1beaab4380e17f8d9c8d3649190e39a443612fdb1b658030ae48e6"

@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from balanced_configs.errors import DegenerateDirectionError, InvalidPointError
 from balanced_configs.geometry import (
     Tolerance,
     as_vec,
@@ -231,3 +232,33 @@ class TestGeodesics:
     def test_geodesic_validation(self):
         with pytest.raises(Exception):
             Geodesic(kind="arc", direction=None, center=complex(0.5, 0.0), radius=0.5).validate()
+
+
+class TestPublicPrimitivesValidate:
+    """The public primitives check every input point; the unchecked cores
+    behind them never see a point off the open disk."""
+
+    CALLS = {
+        "mobius_translate": lambda p: mobius_translate(0.2j, p),
+        "mobius_untranslate": lambda p: mobius_untranslate(p, 0.1),
+        "hyp_log_dir": lambda p: hyp_log_dir(0.3, p),
+        "hyp_midpoint": lambda p: hyp_midpoint(p, 0.1j),
+        "half_turn": lambda p: half_turn(p, 0.3),
+        "rotate_about": lambda p: rotate_about(0.1, 1.0, p),
+        "geodesic_through": lambda p: geodesic_through(0.2, p),
+        "reflect_through": lambda p: reflect_through(0.1, 0.2j, p),
+        "segment_dist_to_origin": lambda p: segment_dist_to_origin(p, -0.4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("bad", [1.0 + 0j, (0.6, -0.8), complex(math.nan, 0.0), (math.inf, 0.0)])
+    def test_points_off_the_disk_raise(self, name, bad):
+        with pytest.raises(InvalidPointError):
+            self.CALLS[name](bad)
+
+    def test_coincident_points_raise(self):
+        with pytest.raises(DegenerateDirectionError):
+            reflect_through(0.3, 0.3 + 1e-12, 0.1j)
+        with pytest.raises(DegenerateDirectionError):
+            segment_dist_to_origin(0.3, 0.3 + 1e-10)
+        assert segment_dist_to_origin(0.3, 0.3) == pytest.approx(radial_dist(0.3), abs=0.0)

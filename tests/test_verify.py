@@ -193,6 +193,31 @@ class TestVerifySphere:
         for ca, cb in zip(a.checks, b.checks):
             assert ca.residual_norm == pytest.approx(cb.residual_norm, rel=1e-9, abs=1e-15)
 
+    def test_residuals_match_per_class_loop(self):
+        # reference: one cross product, projection and norm per class
+        rng = np.random.default_rng(13)
+        for kind in ("dodecahedron", "ngon(9)"):
+            base = gen_sphere(kind, SubsetFlags(True, True, True))
+            pts = base.points + 1e-2 * rng.standard_normal(base.points.shape)
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+            c = FinitePointSet("sphere", pts)
+            cutoff = 6.0 * min_distance(c)
+            for mode in ("scalar_multiple", "tangent_projection"):
+                expected = []
+                for b in c.points:
+                    for cl in distance_classes(c, b, cutoff):
+                        total = cl.points.sum(axis=0)
+                        if mode == "scalar_multiple":
+                            residual = np.cross(total, b)
+                        else:
+                            residual = total - (total @ b) * b
+                        expected.append((tuple(b), cl.size, tuple(residual), float(np.linalg.norm(residual))))
+                got = [
+                    (ch.base, ch.size, ch.residual, ch.residual_norm)
+                    for ch in verify_sphere(c, mode=mode).checks
+                ]
+                assert got == expected
+
     def test_hand_computed_failure_residual(self):
         # three points on the equator at longitudes 0, 90, 180 degrees: the
         # base (1,0,0) sees a singleton class {(0,1,0)} whose cross-product
