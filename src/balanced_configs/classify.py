@@ -22,6 +22,7 @@ from . import generators
 from .configs import (
     FinitePointSet,
     PeriodicConfig,
+    _windowed_plane_bases,
     canonical_basis,
     contains,
     contains_many,
@@ -131,8 +132,6 @@ def is_group_balanced(c, tol=DEFAULT_TOL):
     if isinstance(c, PeriodicConfig):
         bases = c.cartesian_motif()
     elif isinstance(c, FinitePointSet) and c.space == "plane":
-        from .verify import _windowed_plane_bases
-
         min_d = min_distance(c, tol)
         idx = _windowed_plane_bases(c.points, 4.0 * min_d + min_d, tol)
         bases = c.points[idx]

@@ -10,9 +10,17 @@ Three containers cover every surface handled by the package:
   together with the radius up to which the window is certified complete.
 
 All containers are treated as immutable after construction.
+
+Every neighbour query goes through one kernel, ``_neighbors``, which takes
+an array of base points and returns flat (owner, point, distance) arrays,
+and one clusterer, ``_cluster``, which splits them into distance classes.
+Periodic input is enumerated from lattice translates with numpy alone;
+finite sets and patches query a k-d tree cached on the container, filtered
+by the container's metric (``hyperbolic._dist`` on the disk).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -23,24 +31,6 @@ from .errors import AmbiguousClassError, InvalidPointError, NoPairsError
 from .geometry import DEFAULT_TOL, Tolerance, as_vec
 
 _SPACES = ("plane", "sphere", "disk")
-
-
-def _hyp_dist_many(base, pts):
-    """Vectorized hyperbolic distance from one disk point to an (n, 2) array."""
-    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    b = np.asarray(base, dtype=float).reshape(2)
-    d2 = np.sum((pts - b) ** 2, axis=1)
-    denom = (1.0 - b @ b) * (1.0 - np.sum(pts * pts, axis=1))
-    return np.arccosh(1.0 + 2.0 * d2 / denom)
-
-
-def _dist_many(space, base, pts):
-    pts = np.asarray(pts, dtype=float)
-    if len(pts) == 0:
-        return np.zeros(0)
-    if space == "disk":
-        return _hyp_dist_many(base, pts)
-    return np.linalg.norm(pts - np.asarray(base, dtype=float), axis=1)
 
 
 @dataclass(eq=False)
@@ -127,6 +117,7 @@ class FinitePointSet:
     space: str
     points: np.ndarray
     labels: tuple | None = None
+    _tree: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.space not in _SPACES:
@@ -165,6 +156,7 @@ class PatchConfig:
     points: np.ndarray
     patch_radius: float
     labels: tuple | None = None
+    _tree: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
@@ -185,7 +177,7 @@ class PatchConfig:
         return len(self.points)
 
     def center_dists(self):
-        return _hyp_dist_many((0.0, 0.0), self.points) if self.n else np.zeros(0)
+        return hyperbolic._dist(0j, _as_complex(self.points))
 
     def verifiable_radius(self, p):
         """Radius around p (hyperbolic) within which the patch is certified complete."""
@@ -239,113 +231,182 @@ def canonical_basis(c):
     return PeriodicConfig(red, np.mod(frac, 1.0), labels=c.labels)
 
 
-def _translate_box(basis, delta, radius, pad=1):
-    """Integer (a, b) pairs with |delta + a v1 + b v2| possibly <= radius."""
-    inv = np.linalg.inv(basis)
-    center = -np.asarray(delta) @ inv
-    spans = radius * np.linalg.norm(inv, axis=0) + pad
-    a = np.arange(math.ceil(center[0] - spans[0]), math.floor(center[0] + spans[0]) + 1)
-    b = np.arange(math.ceil(center[1] - spans[1]), math.floor(center[1] + spans[1]) + 1)
-    aa, bb = np.meshgrid(a, b, indexing="ij")
-    return np.column_stack([aa.ravel(), bb.ravel()]).astype(float)
+def _dim(c):
+    """Coordinate dimension of the configuration's points."""
+    if isinstance(c, PeriodicConfig):
+        return 2
+    if isinstance(c, (FinitePointSet, PatchConfig)):
+        return c.points.shape[1]
+    raise TypeError(f"unsupported configuration type {type(c)!r}")
+
+
+def _space(c):
+    return "disk" if isinstance(c, PatchConfig) else c.space
+
+
+def _tree(c):
+    """k-d tree over the points of a finite set or patch, built on first use
+    and kept on the container (containers are immutable).  Its data holds the
+    points in coordinate order, so ascending indices are ascending (x, y)."""
+    if c._tree is None:
+        from scipy.spatial import cKDTree  # deferred: the periodic path runs without scipy
+
+        c._tree = cKDTree(c.points[np.lexsort(c.points.T[::-1])])
+    return c._tree
+
+
+def _as_complex(xy):
+    """Rows (x, y) as complex numbers x + iy: a view when xy is contiguous."""
+    return np.ascontiguousarray(xy, dtype=float).view(np.complex128)[..., 0]
+
+
+def _pair_dists(space, a, b):
+    """Distance from each row of a to the matching row of b (broadcast): the
+    hyperbolic distance on the disk, the Euclidean (on the sphere chordal)
+    distance otherwise."""
+    if space == "disk":
+        return hyperbolic._dist(_as_complex(a), _as_complex(b))
+    return np.linalg.norm(b - a, axis=-1)
+
+
+# candidate translates per chunk of bases on the periodic path, bounding memory
+_LATTICE_CHUNK = 1 << 18
+
+
+def _neighbors(c, bases, reach, dedup_tol):
+    """The neighbour kernel: every configuration point p with
+    dedup_tol < d(base, p) <= reach, for each row of bases.
+
+    Returns flat arrays (owner, points, dists), where owner indexes bases,
+    sorted by owner, then distance, then coordinates.  Periodic input scans
+    the lattice translates of the motif that can reach each base; finite sets
+    and patches query a k-d tree with a ball that contains the metric ball
+    (on the disk, the hyperbolic ball of radius R about b is exactly the
+    Euclidean disk with centre b(1 - t^2)/(1 - |b|^2 t^2) and radius
+    t(1 - |b|^2)/(1 - |b|^2 t^2), t = tanh(R/2)), padded by a relative 1e-9,
+    and filter the candidates by the metric itself.
+    """
+    bases = np.asarray(bases, dtype=float).reshape(-1, _dim(c))
+    if isinstance(c, PeriodicConfig):
+        inv = np.linalg.inv(c.basis)
+        # a translate n with |m + n B - base| <= reach has n within span of
+        # the fractional coordinates of base - m
+        span = reach * np.linalg.norm(inv, axis=0) + 1.0
+        steps = np.stack(
+            np.meshgrid(np.arange(int(2 * span[0]) + 1), np.arange(int(2 * span[1]) + 1), indexing="ij"), -1
+        ).reshape(-1, 2)
+        motif = c.cartesian_motif()
+        chunk = max(1, _LATTICE_CHUNK // (len(motif) * len(steps)))
+        found = [(np.zeros(0, dtype=np.intp), np.zeros((0, 2)), np.zeros(0))]
+        for s in range(0, len(bases), chunk):
+            block = bases[s : s + chunk]
+            delta = motif[None, :, :] - block[:, None, :]
+            lo = np.ceil(-delta @ inv - span)
+            vec = delta[:, :, None, :] + (lo[:, :, None, :] + steps) @ c.basis
+            d = np.linalg.norm(vec, axis=-1)
+            hit = np.nonzero((d <= reach) & (d > dedup_tol))
+            found.append((s + hit[0], block[hit[0]] + vec[hit], d[hit]))
+        owner, pts, d = (np.concatenate(parts) for parts in zip(*found))
+        order = np.lexsort((pts[:, 1], pts[:, 0], d, owner))
+        return owner[order], pts[order], d[order]
+    space = _space(c)
+    if space == "disk":
+        t = math.tanh(reach / 2.0)
+        b2 = np.sum(bases * bases, axis=1)
+        den = 1.0 - b2 * (t * t)
+        centres = bases * ((1.0 - t * t) / den)[:, None]
+        radii = t * (1.0 - b2) / den
+    else:
+        centres, radii = bases, np.full(len(bases), reach)
+    tree = _tree(c)
+    lists = tree.query_ball_point(centres, radii * (1.0 + 1e-9), return_sorted=True)
+    counts = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+    owner = np.repeat(np.arange(len(lists)), counts)
+    idx = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=len(owner))
+    pts = tree.data[idx]
+    d = _pair_dists(space, bases[owner], pts)
+    keep = np.flatnonzero((d <= reach) & (d > dedup_tol))
+    # candidates come grouped by owner in coordinate order: a stable sort
+    # by owner, then distance, leaves ties in coordinate order
+    order = keep[np.lexsort((d[keep], owner[keep]))]
+    return owner[order], pts[order], d[order]
+
+
+def _cluster(owner, dists, class_tol):
+    """The clusterer: distance classes of kernel output sorted by owner, then
+    distance.
+
+    A class starts at each owner's first neighbour and at every gap wider than
+    class_tol between consecutive distances.  Returns the class starts (into
+    the kernel arrays), sizes and mean distances.  Two classes of one owner
+    whose means lie within 2 * class_tol cannot be separated reliably and
+    raise AmbiguousClassError, at the first such pair, rather than merge.
+    """
+    new_class = np.ones(len(dists), dtype=bool)
+    new_class[1:] = (owner[1:] != owner[:-1]) | (np.diff(dists) > class_tol)
+    starts = np.flatnonzero(new_class)
+    sizes = np.diff(np.append(starts, len(dists)))
+    means = np.add.reduceat(dists, starts) / sizes
+    class_owner = owner[starts]
+    too_close = (class_owner[1:] == class_owner[:-1]) & (np.diff(means) <= 2.0 * class_tol)
+    if too_close.any():
+        k = int(np.flatnonzero(too_close)[0])
+        raise AmbiguousClassError(
+            f"distance classes at {float(means[k])!r} and {float(means[k + 1])!r} are too close to separate"
+        )
+    return starts, sizes, means
+
+
+def _closest_pair(c):
+    """Distance and the two points of a closest pair of a finite set or patch.
+
+    The distance from each point to its Euclidean nearest neighbour bounds
+    the minimum from above; one kernel query at that bound then finds the
+    closest pair in the container's own metric.
+    """
+    tree = _tree(c)
+    pts = tree.data
+    nn = tree.query(pts, k=2)[1]
+    # the first column is the point itself unless it has an exact duplicate
+    other = np.where(nn[:, 0] == np.arange(len(pts)), nn[:, 1], nn[:, 0])
+    bound = _pair_dists(_space(c), pts, pts[other])
+    i = int(np.argmin(bound))
+    if bound[i] == 0.0:
+        return 0.0, pts[i], pts[other[i]]
+    owner, nbrs, d = _neighbors(c, pts, float(bound[i]), 0.0)
+    k = int(np.argmin(d))
+    return float(d[k]), pts[owner[k]], nbrs[k]
 
 
 def min_distance(c, tol=DEFAULT_TOL):
     """Minimal pairwise distance of the configuration.
 
-    For periodic configurations the scan runs over the reduced basis, where a
-    window of +-2 cells around the rounded target certainly contains the
-    lattice vector closest to any motif difference.
+    For periodic configurations one kernel query over the reduced basis at
+    radius |v1| is exact: every motif point has its own translate at |v1|.
     """
     if isinstance(c, PeriodicConfig):
         red = canonical_basis(c)
-        cart = red.cartesian_motif()
-        best = math.inf
-        for i in range(red.k):
-            for j in range(red.k):
-                delta = cart[j] - cart[i]
-                trans = _translate_box(red.basis, delta, 0.0, pad=2)
-                vecs = delta + trans @ red.basis
-                norms = np.linalg.norm(vecs, axis=1)
-                norms = norms[norms > tol.dedup_tol]
-                if len(norms):
-                    best = min(best, float(norms.min()))
-        return best
-    if isinstance(c, FinitePointSet):
-        pts = c.points
-        space = c.space
-    elif isinstance(c, PatchConfig):
+        reach = float(np.linalg.norm(red.basis[0])) + tol.class_tol
+        return float(_neighbors(red, red.cartesian_motif(), reach, tol.dedup_tol)[2].min())
+    if isinstance(c, PatchConfig):
         # Restrict to the certified window: fringe points beyond patch_radius
         # carry no completeness guarantee and are excluded from global
         # statistics (unless the window holds fewer than two points).
         mask = c.center_dists() <= c.patch_radius + 1e-12
-        pts = c.points[mask] if int(mask.sum()) >= 2 else c.points
-        space = "disk"
-    else:
+        if 2 <= int(mask.sum()) < c.n:
+            c = FinitePointSet("disk", c.points[mask])
+    elif not isinstance(c, FinitePointSet):
         raise TypeError(f"unsupported configuration type {type(c)!r}")
-    if len(pts) < 2:
+    if c.n < 2:
         raise NoPairsError("at least two points are required for a minimal distance")
-    return _pairwise_min(space, pts)[0]
-
-
-def _pairwise_min(space, pts):
-    """Minimal pairwise distance and the attaining index pair, chunked."""
-    n = len(pts)
-    best = math.inf
-    pair = (0, 1)
-    chunk = max(1, 2_000_000 // n)
-    cols = np.arange(n)
-    for s in range(0, n - 1, chunk):
-        e = min(s + chunk, n - 1)
-        block = pts[s:e]
-        if space == "disk":
-            d2 = np.sum((block[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-            denom = (1.0 - np.sum(block * block, axis=1))[:, None] * (
-                1.0 - np.sum(pts * pts, axis=1)
-            )[None, :]
-            d = np.arccosh(1.0 + 2.0 * d2 / denom)
-        else:
-            d = np.linalg.norm(block[:, None, :] - pts[None, :, :], axis=2)
-        upper = cols[None, :] > (np.arange(s, e))[:, None]
-        d = np.where(upper, d, np.inf)
-        flat = int(np.argmin(d))
-        i, j = divmod(flat, n)
-        if d[i, j] < best:
-            best = float(d[i, j])
-            pair = (s + i, j)
-    return best, pair
+    return _closest_pair(c)[0]
 
 
 def points_within(c, base, radius, tol=DEFAULT_TOL):
     """All configuration points at distance <= radius + class_tol from base,
     excluding base itself.  Returned sorted by (distance, x, y)."""
-    cutoff = radius + tol.class_tol
-    if isinstance(c, PeriodicConfig):
-        base = as_vec(base, 2)
-        cart = c.cartesian_motif()
-        found = []
-        for m in cart:
-            delta = m - base
-            trans = _translate_box(c.basis, delta, cutoff, pad=1)
-            pts = delta + trans @ c.basis
-            d = np.linalg.norm(pts, axis=1)
-            keep = (d <= cutoff) & (d > tol.dedup_tol)
-            found.append(base + pts[keep])
-        pts = np.vstack(found) if found else np.zeros((0, 2))
-        dists = np.linalg.norm(pts - base, axis=1)
-    else:
-        if isinstance(c, FinitePointSet):
-            pts_all, space = c.points, c.space
-        elif isinstance(c, PatchConfig):
-            pts_all, space = c.points, "disk"
-        else:
-            raise TypeError(f"unsupported configuration type {type(c)!r}")
-        base = as_vec(base, pts_all.shape[1])
-        dists_all = _dist_many(space, base, pts_all)
-        keep = (dists_all <= cutoff) & (dists_all > tol.dedup_tol)
-        pts, dists = pts_all[keep], dists_all[keep]
-    order = np.lexsort(tuple(pts.T[::-1]) + (dists,))
-    return pts[order]
+    base = as_vec(base, _dim(c))
+    return _neighbors(c, base, radius + tol.class_tol, tol.dedup_tol)[1]
 
 
 def distance_classes(c, base, max_radius, tol=DEFAULT_TOL):
@@ -354,29 +415,12 @@ def distance_classes(c, base, max_radius, tol=DEFAULT_TOL):
     Classes whose representatives are closer than 2 * class_tol cannot be
     separated reliably and raise AmbiguousClassError rather than being merged.
     """
-    pts = points_within(c, base, max_radius, tol)
-    if len(pts) == 0:
-        return []
-    if isinstance(c, PeriodicConfig) or (isinstance(c, FinitePointSet) and c.space == "plane"):
-        dists = np.linalg.norm(pts - as_vec(base, 2), axis=1)
-    elif isinstance(c, FinitePointSet) and c.space == "sphere":
-        dists = np.linalg.norm(pts - as_vec(base, 3), axis=1)
-    else:
-        dists = _hyp_dist_many(base, pts)
-    order = np.argsort(dists, kind="stable")
-    pts, dists = pts[order], dists[order]
-    breaks = np.nonzero(np.diff(dists) > tol.class_tol)[0]
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks + 1, [len(dists)]])
-    classes = [
-        DistanceClass(distance=float(dists[s:e].mean()), points=pts[s:e]) for s, e in zip(starts, ends)
+    base = as_vec(base, _dim(c))
+    owner, pts, d = _neighbors(c, base, max_radius + tol.class_tol, tol.dedup_tol)
+    starts, _, means = _cluster(owner, d, tol.class_tol)
+    return [
+        DistanceClass(distance=m, points=p) for m, p in zip(means.tolist(), np.split(pts, starts[1:]))
     ]
-    for prev, cur in zip(classes, classes[1:]):
-        if cur.distance - prev.distance <= 2.0 * tol.class_tol:
-            raise AmbiguousClassError(
-                f"distance classes at {prev.distance!r} and {cur.distance!r} are too close to separate"
-            )
-    return classes
 
 
 def contains(c, p, tol=DEFAULT_TOL):
@@ -399,13 +443,39 @@ def contains_many(c, pts, tol=DEFAULT_TOL):
                 best = np.minimum(best, d)
         return best <= tol.dedup_tol
     if isinstance(c, (FinitePointSet, PatchConfig)):
-        stored = c.points
-        out = np.zeros(len(pts), dtype=bool)
-        for i, p in enumerate(pts):
-            d = np.linalg.norm(stored - p, axis=1)
-            out[i] = bool(len(d)) and float(d.min()) <= tol.dedup_tol
-        return out
+        return _tree(c).query(pts)[0] <= tol.dedup_tol
     raise TypeError(f"unsupported configuration type {type(c)!r}")
+
+
+def _collinear_direction(pts, rel_tol=1e-9):
+    """Unit direction if the points are collinear, else None."""
+    centered = pts - pts.mean(axis=0)
+    scale = float(np.abs(centered).max())
+    if scale == 0.0:
+        return None
+    _, sing, vt = np.linalg.svd(centered, full_matrices=False)
+    if len(sing) > 1 and sing[1] > rel_tol * scale:
+        return None
+    return vt[0]
+
+
+def _windowed_plane_bases(pts, cutoff, tol):
+    """Indices of points whose cutoff-ball lies inside the window spanned by
+    the set: an interval along the carrier line for collinear input, the
+    convex hull otherwise."""
+    slack = tol.class_tol
+    direction = _collinear_direction(pts)
+    if direction is not None:
+        t = (pts - pts.mean(axis=0)) @ direction
+        lo, hi = float(t.min()), float(t.max())
+        keep = (t >= lo + cutoff - slack) & (t <= hi - cutoff + slack)
+        return np.nonzero(keep)[0]
+    from scipy.spatial import ConvexHull  # deferred: only finite planar sets need it
+
+    # each facet row (n, b) has a unit outward normal n and n.x + b <= 0 inside
+    facets = ConvexHull(pts).equations
+    keep = np.all(pts @ facets[:, :2].T + facets[:, 2] <= slack - cutoff, axis=1)
+    return np.nonzero(keep)[0]
 
 
 def _hnf_rows(rows):

@@ -462,6 +462,14 @@ def _build_triangle_group(p, q, r, depth):
     )
 
 
+def _disk_rows(zs, selected):
+    """(x, y) rows of the selected complex points zs with |z| < 1 - 1e-15,
+    in order, and the mask that picked them."""
+    z = np.array(zs, dtype=complex)
+    keep = selected & (np.abs(z) < 1.0 - 1e-15)
+    return np.column_stack([z.real[keep], z.imag[keep]]), keep
+
+
 def gen_hyp_triangle_group(params, flags):
     """Vertex-type orbits of the reflection tiling by triangles with angles
     pi/p, pi/q, pi/r.
@@ -488,13 +496,10 @@ def gen_hyp_triangle_group(params, flags):
         selected.add("q")
     if flags.r_centers:
         selected.add("r")
-    pts = []
-    labels = []
-    for z, t in zip(tiling.verts, tiling.vtypes):
-        if t in selected and abs(z) < 1.0 - 1e-15:
-            pts.append((z.real, z.imag))
-            labels.append(t + "_center")
-    return PatchConfig(np.array(pts).reshape(-1, 2), tiling.patch_radius, labels=tuple(labels))
+    vtypes = np.array(tiling.vtypes)
+    pts, keep = _disk_rows(tiling.verts, np.isin(vtypes, sorted(selected)))
+    labels = tuple(t + "_center" for t in vtypes[keep].tolist())
+    return PatchConfig(pts, tiling.patch_radius, labels=labels)
 
 
 @lru_cache(maxsize=None)
@@ -602,18 +607,16 @@ def gen_hyp_rotation_tiling(params, flags):
     x-angle and y-angle vertices of each tile.
     """
     tiling = _build_rotation_tiling(params.alpha, params.beta, params.gamma, params.m, params.depth)
-    pts = []
+    pieces = [np.zeros((0, 2))]
     labels = []
     if flags.vertices:
-        for z in tiling.verts:
-            if abs(z) < 1.0 - 1e-15:
-                pts.append((z.real, z.imag))
-                labels.append("vertex")
+        pts, _ = _disk_rows(tiling.verts, True)
+        pieces.append(pts)
+        labels += ["vertex"] * len(pts)
+    mid_classes = np.array(tiling.mid_classes)
     for cls, wanted in (("ab", flags.mid_ab), ("ac", flags.mid_ac), ("bc", flags.mid_bc)):
-        if not wanted:
-            continue
-        for z, mc in zip(tiling.mids, tiling.mid_classes):
-            if mc == cls and abs(z) < 1.0 - 1e-15:
-                pts.append((z.real, z.imag))
-                labels.append("mid_" + cls)
-    return PatchConfig(np.array(pts).reshape(-1, 2), tiling.patch_radius, labels=tuple(labels))
+        if wanted:
+            pts, _ = _disk_rows(tiling.mids, mid_classes == cls)
+            pieces.append(pts)
+            labels += ["mid_" + cls] * len(pts)
+    return PatchConfig(np.vstack(pieces), tiling.patch_radius, labels=tuple(labels))

@@ -6,17 +6,21 @@ conformal, so angles (and in particular unit tangent directions at a point
 translated to the origin) agree with their Euclidean counterparts.
 
 Each public function validates its inputs once with as_disk_point and then
-calls a private core (_translate, _untranslate, _midpoint, _half_turn,
+calls a private core (_translate, _dist, _untranslate, _midpoint, _half_turn,
 _reflect_through, _segment_dist, ...) that takes complex numbers already
 known to lie in the open disk and does no checking of its own.  Every
 formula lives in its core only; the tiling builders call the cores directly
-and validate each point once, when it is created.
+and validate each point once, when it is created.  _dist, the one disk
+distance, also takes numpy arrays; configs filters its neighbour queries by
+it.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DegenerateDirectionError,
@@ -50,11 +54,7 @@ def to_xy(z):
 
 def hyp_dist(a, b):
     """Hyperbolic distance between two disk points."""
-    a = as_disk_point(a)
-    b = as_disk_point(b)
-    d2 = abs(a - b) ** 2
-    denom = (1.0 - abs(a) ** 2) * (1.0 - abs(b) ** 2)
-    return math.acosh(1.0 + 2.0 * d2 / denom)
+    return float(_dist(as_disk_point(a), as_disk_point(b)))
 
 
 def radial_dist(r):
@@ -69,6 +69,13 @@ def euclid_radius(d):
 
 def _translate(c, z):
     return (z - c) / (1.0 - c.conjugate() * z)
+
+
+def _dist(a, z):
+    """Hyperbolic distance 2 atanh(|z - a| / |1 - conj(a) z|); a and z may be
+    complex numpy arrays that broadcast.  Unlike acosh(1 + x), it keeps full
+    relative precision for nearly coincident points."""
+    return 2.0 * np.arctanh(np.abs(_translate(a, z)))
 
 
 def _untranslate(c, w):

@@ -12,11 +12,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configs import FinitePointSet, PatchConfig, PeriodicConfig, _translate_box
+from .configs import FinitePointSet, PatchConfig, PeriodicConfig
 from .errors import RenderError
 
 _SHAPES = ("circle", "square", "diamond", "triangle")
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+
+
+def _translate_box(basis, delta, radius, pad=1):
+    """Integer (a, b) pairs with |delta + a v1 + b v2| possibly <= radius."""
+    inv = np.linalg.inv(basis)
+    center = -np.asarray(delta) @ inv
+    spans = radius * np.linalg.norm(inv, axis=0) + pad
+    a = np.arange(math.ceil(center[0] - spans[0]), math.floor(center[0] + spans[0]) + 1)
+    b = np.arange(math.ceil(center[1] - spans[1]), math.floor(center[1] + spans[1]) + 1)
+    aa, bb = np.meshgrid(a, b, indexing="ij")
+    return np.column_stack([aa.ravel(), bb.ravel()]).astype(float)
 
 
 @dataclass(frozen=True)

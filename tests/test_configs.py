@@ -20,6 +20,7 @@ from balanced_configs.configs import (
 )
 from balanced_configs.errors import AmbiguousClassError, NoPairsError
 from balanced_configs.geometry import DEFAULT_TOL, Tolerance
+from balanced_configs.hyperbolic import hyp_dist
 
 
 def brute_points_within(basis, motif_frac, base, radius, span=12):
@@ -212,6 +213,17 @@ class TestPatchConfig:
         d01 = 2.0 * math.atanh(0.2)
         assert min_distance(patch) == pytest.approx(d01, abs=1e-12)
 
+    def test_near_coincident_points_keep_their_distance(self):
+        # 3e-9 apart at x = 0.1: acosh(1 + x) rounds the distance to 0
+        near = 0.1 + 3e-9
+        patch = PatchConfig(np.array([[0.1, 0.0], [near, 0.0], [0.5, 0.0]]), 2.0)
+        want = 2.0 * math.atanh(3e-9 / (1.0 - 0.1 * near))
+        assert want == pytest.approx(6.0606e-9, rel=1e-4)
+        assert hyp_dist(0.1, near) == pytest.approx(want, rel=1e-6)
+        assert min_distance(patch) == pytest.approx(want, rel=1e-6)
+        found = points_within(patch, (0.1, 0.0), 1e-7)
+        assert found.tolist() == [[near, 0.0]]
+
 
 class TestContains:
     def test_periodic_membership_with_wrap(self):
@@ -219,6 +231,13 @@ class TestContains:
         assert contains(c, (0.5, 0.5))
         assert contains(c, (0.5 + 6.0, 0.5 - 3.0))
         assert not contains(c, (0.6, 0.5))
+
+    def test_finite_and_patch_membership(self):
+        pts = np.array([[0.0, 0.0], [0.5, 0.25], [-0.3, 0.6]])
+        probes = np.vstack([pts + 5e-10, pts + 2e-9])
+        for c in (FinitePointSet("plane", pts), PatchConfig(pts, 1.0)):
+            assert contains_many(c, probes).tolist() == [True] * 3 + [False] * 3
+        assert not contains_many(FinitePointSet("plane", np.zeros((0, 2))), probes).any()
 
     def test_near_cell_edge_membership(self):
         c = PeriodicConfig(np.eye(2), np.array([[0.0, 0.0]]))

@@ -139,6 +139,16 @@ class TestVerifyPlane:
         assert report.verified_points == 17 * 17
         assert report.passed
 
+    def test_oblique_window_uses_convex_hull(self):
+        # a parallelogram window of an oblique lattice: its bounding box
+        # admits corner points whose neighbourhoods the window cuts off
+        v1 = np.array([1.0, 0.0])
+        v2 = 1.1 * np.array([math.cos(1.2), math.sin(1.2)])
+        pts = np.array([i * v1 + j * v2 for i in range(30) for j in range(30)])
+        report = verify_plane(FinitePointSet("plane", pts))
+        assert report.verified_points > 0
+        assert report.passed
+
     def test_finite_collinear_uses_interval_window(self):
         # a slanted line of 11 points: the bounding box is thin, so the
         # window must be the interval along the carrier line, keeping the
@@ -155,6 +165,31 @@ class TestVerifyPlane:
         report = verify_plane(c, VerifyParams(max_radius=3.0))
         assert report.verified_points == 0
         assert report.checks == []
+
+    def test_periodic_path_leaves_scipy_spatial_unloaded(self):
+        # the lattice-translate kernel is numpy only; scipy.spatial would add
+        # to the memory of every periodic run
+        src = os.path.dirname(os.path.dirname(balanced_configs.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "from balanced_configs.classify import classify, is_group_balanced\n"
+            "from balanced_configs.configs import min_distance\n"
+            "from balanced_configs.generators import SubsetFlags, gen_hexagonal\n"
+            "from balanced_configs.verify import verify_plane\n"
+            "c = gen_hexagonal(1.0, SubsetFlags(True, True, True)).supercell(2, 1)\n"
+            "min_distance(c), verify_plane(c), classify(c), is_group_balanced(c)\n"
+            "print('scipy.spatial' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_rejects_wrong_space(self):
         c = gen_sphere("cube", SubsetFlags(True, False, False))
