@@ -14,13 +14,13 @@ All containers are treated as immutable after construction.
 Every neighbour query goes through one kernel, ``_neighbors``, which takes
 an array of base points and returns flat (owner, point, distance) arrays,
 and one clusterer, ``_cluster``, which splits them into distance classes.
-Periodic input is enumerated from lattice translates with numpy alone;
-finite sets and patches query a k-d tree cached on the container, filtered
-by the container's metric (``hyperbolic._dist`` on the disk).
+Periodic input is enumerated from lattice translates; finite sets and
+patches query a polar index (``_PolarIndex``: radial bands sorted by angle)
+cached on the container, filtered by the container's metric
+(``hyperbolic._dist`` on the disk).  Everything here is numpy only.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -117,7 +117,7 @@ class FinitePointSet:
     space: str
     points: np.ndarray
     labels: tuple | None = None
-    _tree: object = field(default=None, init=False, repr=False)
+    _index: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.space not in _SPACES:
@@ -156,7 +156,7 @@ class PatchConfig:
     points: np.ndarray
     patch_radius: float
     labels: tuple | None = None
-    _tree: object = field(default=None, init=False, repr=False)
+    _index: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
@@ -244,15 +244,112 @@ def _space(c):
     return "disk" if isinstance(c, PatchConfig) else c.space
 
 
-def _tree(c):
-    """k-d tree over the points of a finite set or patch, built on first use
-    and kept on the container (containers are immutable).  Its data holds the
-    points in coordinate order, so ascending indices are ascending (x, y)."""
-    if c._tree is None:
-        from scipy.spatial import cKDTree  # deferred: the periodic path runs without scipy
+# a band's composite sort key is angle + _BAND_STRIDE * band: angles lie in
+# [-pi, pi], so the keys of one band never reach those of the next
+_BAND_STRIDE = 8.0
 
-        c._tree = cKDTree(c.points[np.lexsort(c.points.T[::-1])])
-    return c._tree
+
+def _ranges(starts, counts):
+    """Concatenated ranges [start, start + count) for each pair."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - ends + counts, counts)
+
+
+class _PolarIndex:
+    """Neighbour index over the points of a finite set or patch.
+
+    The points live in a planar chart: the disk itself, the xy-plane under
+    which the sphere projects (projection only shortens distances), or the
+    plane centred on the set's centroid.  The chart points are split by
+    radius into bands, and each band is sorted by angle, so a chart ball
+    meets each band in one angle interval (two across the seam at +-pi),
+    found by binary search.  The bands come from the points alone: each is
+    about as thick as the spacing of its points, so a small ball crosses few
+    of them whether the points fill the chart evenly (about sqrt(n) bands)
+    or crowd against the disk's boundary.  ``points`` holds the points in
+    coordinate order; ``order`` lists them band by band.
+    """
+
+    def __init__(self, points, space):
+        self.points = points[np.lexsort(points.T[::-1])]
+        n = len(self.points)
+        self.origin = self.points[:, :2].mean(axis=0) if space == "plane" and n else np.zeros(2)
+        q = self.points[:, :2] - self.origin
+        s = np.hypot(q[:, 0], q[:, 1])
+        # rounding slack of the chart coordinates, radii and angles
+        self.slack = 1e-13 * (float(np.abs(self.origin).max()) + float(s.max(initial=0.0)))
+        # a band holds about as many points as fit around its circle at the
+        # local spacing, so that it is about one spacing thick: sqrt(2 pi s /
+        # (ds / dk)), with the radius gained per point, ds / dk, taken over a
+        # window of sqrt(n) points either side
+        by_radius = np.argsort(s, kind="stable")
+        radii = s[by_radius]
+        rank = np.arange(n)
+        w = math.isqrt(n)
+        below, above = np.maximum(rank - w, 0), np.minimum(rank + w, n - 1)
+        rise = radii[above] - radii[below]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            per = np.where(rise > 0.0, np.sqrt(2.0 * np.pi * radii * (above - below) / rise), np.inf)
+        # each point's band, counted along the radii in steps of at most 1
+        begun = np.concatenate([[0.0], np.cumsum(1.0 / np.clip(per[:-1], 1.0, None))])[:n].astype(np.intp)
+        band = np.empty(n, dtype=np.intp)
+        band[by_radius] = begun
+        first = np.flatnonzero(np.diff(begun, prepend=-1))
+        self.lo = radii[first]
+        self.hi = np.append(radii[first[1:] - 1], radii[-1:])
+        keys = np.arctan2(q[:, 1], q[:, 0]) + _BAND_STRIDE * band
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+
+    def ball(self, centres, radii):
+        """Candidates (owner, index into points) for the chart balls about
+        centres: a superset of the points within each radius."""
+        c = centres[:, :2] - self.origin
+        sc = np.hypot(c[:, 0], c[:, 1])
+        tc = np.arctan2(c[:, 1], c[:, 0])
+        r = radii * (1.0 + 1e-9) + self.slack + 1e-13 * sc
+        first = np.searchsorted(self.hi, sc - r)
+        count = np.maximum(np.searchsorted(self.lo, sc + r, side="right") - first, 0)
+        q = np.repeat(np.arange(len(c)), count)
+        band = _ranges(first, count)
+        sc, tc, r = sc[q], tc[q], r[q]
+        # the widest angle of the ball over the band's radii falls at the
+        # radius of the tangent from the origin, sqrt(sc^2 - r^2), clipped;
+        # at radius s that angle is 2 asin(sqrt((r^2 - (s - sc)^2) / (4 s sc)))
+        low = np.maximum(self.lo[band], sc - r)
+        high = np.minimum(self.hi[band], sc + r)
+        s = np.clip(np.sqrt(np.maximum(sc * sc - r * r, 0.0)), low, high)
+        u = s - sc
+        num, den = (r - u) * (r + u), 4.0 * s * sc
+        with np.errstate(invalid="ignore"):  # den = 0: a ball about the chart origin
+            half = np.where(den > 0.0, 2.0 * np.arcsin(np.sqrt(np.clip(num, 0.0, den) / den)), np.pi)
+        half = half * (1.0 + 1e-9) + 1e-12  # rounding slack of the angles
+        off = _BAND_STRIDE * band
+        full = half >= np.pi
+        a = np.where(full, -np.pi, tc - half)
+        b = np.where(full, np.pi, tc + half)
+        start = np.searchsorted(self.keys, off + np.maximum(a, -np.pi))
+        stop = np.searchsorted(self.keys, off + np.minimum(b, np.pi), side="right")
+        # the part of an interval past the seam, on the far side of the band
+        wrap = np.flatnonzero((a < -np.pi) | (b > np.pi))
+        aw, bw, offw = a[wrap], b[wrap], off[wrap]
+        wrap_start = np.searchsorted(self.keys, offw + np.where(aw < -np.pi, aw + 2.0 * np.pi, -np.pi))
+        wrap_stop = np.searchsorted(self.keys, offw + np.where(bw > np.pi, bw - 2.0 * np.pi, np.pi), "right")
+        wrap_start = np.maximum(wrap_start, np.where(aw < -np.pi, stop[wrap], 0))
+        wrap_stop = np.minimum(wrap_stop, np.where(bw > np.pi, start[wrap], len(self.keys)))
+        starts = np.concatenate([start, wrap_start])
+        counts = np.maximum(np.concatenate([stop, wrap_stop]) - starts, 0)
+        owner = np.repeat(np.concatenate([q, q[wrap]]), counts)
+        return owner, self.order[_ranges(starts, counts)]
+
+
+def _index(c):
+    """The neighbour index of a finite set or patch, built on first use and
+    kept on the container (containers are immutable)."""
+    if c._index is None:
+        c._index = _PolarIndex(c.points, _space(c))
+    return c._index
 
 
 def _as_complex(xy):
@@ -280,11 +377,13 @@ def _neighbors(c, bases, reach, dedup_tol):
     Returns flat arrays (owner, points, dists), where owner indexes bases,
     sorted by owner, then distance, then coordinates.  Periodic input scans
     the lattice translates of the motif that can reach each base; finite sets
-    and patches query a k-d tree with a ball that contains the metric ball
-    (on the disk, the hyperbolic ball of radius R about b is exactly the
-    Euclidean disk with centre b(1 - t^2)/(1 - |b|^2 t^2) and radius
-    t(1 - |b|^2)/(1 - |b|^2 t^2), t = tanh(R/2)), padded by a relative 1e-9,
-    and filter the candidates by the metric itself.
+    and patches query the container's polar index with a chart ball that
+    contains the metric ball, padded for rounding, and filter the candidates
+    by the metric itself.  The chart ball is the ball itself on the plane,
+    the chordal ball's projection onto the xy-plane on the sphere, and on the
+    disk the exact Euclidean image of the hyperbolic ball of radius R about
+    b: centre b(1 - t^2)/(1 - |b|^2 t^2), radius t(1 - |b|^2)/(1 - |b|^2 t^2),
+    t = tanh(R/2).
     """
     bases = np.asarray(bases, dtype=float).reshape(-1, _dim(c))
     if isinstance(c, PeriodicConfig):
@@ -315,21 +414,18 @@ def _neighbors(c, bases, reach, dedup_tol):
         b2 = np.sum(bases * bases, axis=1)
         den = 1.0 - b2 * (t * t)
         centres = bases * ((1.0 - t * t) / den)[:, None]
-        radii = t * (1.0 - b2) / den
+        # rounding in b and t moves the image by up to about eps / den
+        radii = (t * (1.0 - b2) + 4e-15) / den
     else:
         centres, radii = bases, np.full(len(bases), reach)
-    tree = _tree(c)
-    lists = tree.query_ball_point(centres, radii * (1.0 + 1e-9), return_sorted=True)
-    counts = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
-    owner = np.repeat(np.arange(len(lists)), counts)
-    idx = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=len(owner))
-    pts = tree.data[idx]
-    d = _pair_dists(space, bases[owner], pts)
+    index = _index(c)
+    owner, idx = index.ball(centres, radii)
+    d = _pair_dists(space, bases[owner], index.points[idx])
     keep = np.flatnonzero((d <= reach) & (d > dedup_tol))
-    # candidates come grouped by owner in coordinate order: a stable sort
-    # by owner, then distance, leaves ties in coordinate order
-    order = keep[np.lexsort((d[keep], owner[keep]))]
-    return owner[order], pts[order], d[order]
+    owner, idx, d = owner[keep], idx[keep], d[keep]
+    # index.points is in coordinate order, so idx breaks distance ties
+    order = np.lexsort((idx, d, owner))
+    return owner[order], index.points[idx[order]], d[order]
 
 
 def _cluster(owner, dists, class_tol):
@@ -360,20 +456,20 @@ def _cluster(owner, dists, class_tol):
 def _closest_pair(c):
     """Distance and the two points of a closest pair of a finite set or patch.
 
-    The distance from each point to its Euclidean nearest neighbour bounds
-    the minimum from above; one kernel query at that bound then finds the
-    closest pair in the container's own metric.
+    The distance between consecutive points, in coordinate order and in the
+    index's band order, bounds the minimum from above; one kernel query at
+    that bound then finds the closest pair in the container's own metric.
     """
-    tree = _tree(c)
-    pts = tree.data
-    nn = tree.query(pts, k=2)[1]
-    # the first column is the point itself unless it has an exact duplicate
-    other = np.where(nn[:, 0] == np.arange(len(pts)), nn[:, 1], nn[:, 0])
-    bound = _pair_dists(_space(c), pts, pts[other])
-    i = int(np.argmin(bound))
-    if bound[i] == 0.0:
-        return 0.0, pts[i], pts[other[i]]
-    owner, nbrs, d = _neighbors(c, pts, float(bound[i]), 0.0)
+    index = _index(c)
+    pts, space = index.points, _space(c)
+    # consecutive points in coordinate order include every exact duplicate;
+    # with consecutive points in index order they bound the minimum
+    step = _pair_dists(space, pts[:-1], pts[1:])
+    i = int(np.argmin(step))
+    if step[i] == 0.0:
+        return 0.0, pts[i], pts[i + 1]
+    band_step = _pair_dists(space, pts[index.order[:-1]], pts[index.order[1:]])
+    owner, nbrs, d = _neighbors(c, pts, float(min(step[i], band_step.min())), 0.0)
     k = int(np.argmin(d))
     return float(d[k]), pts[owner[k]], nbrs[k]
 
@@ -429,21 +525,25 @@ def contains(c, p, tol=DEFAULT_TOL):
 
 
 def contains_many(c, pts, tol=DEFAULT_TOL):
-    """Vectorized membership test; wraps fractional parts and checks the 3x3
-    neighboring translates so points on cell boundaries are matched."""
+    """Vectorized membership test: is some configuration point within
+    dedup_tol (Euclidean; chordal on the sphere) of each row of pts?
+    Periodic input wraps fractional parts and checks the 3x3 neighbouring
+    translates of every motif point, so points on cell boundaries match."""
     pts = np.asarray(pts, dtype=float)
     if isinstance(c, PeriodicConfig):
         frac = np.mod(pts @ np.linalg.inv(c.basis), 1.0)
-        best = np.full(len(pts), np.inf)
         shifts = _shift_grid()
-        for m in c.motif:
-            for s in shifts:
-                delta = (frac - m - s) @ c.basis
-                d = np.linalg.norm(delta, axis=1)
-                best = np.minimum(best, d)
-        return best <= tol.dedup_tol
+        chunk = max(1, _LATTICE_CHUNK // (len(c.motif) * len(shifts)))
+        hits = [np.zeros(0, dtype=bool)]
+        for s in range(0, len(frac), chunk):
+            delta = (frac[s : s + chunk, None, None, :] - c.motif[:, None, :] - shifts) @ c.basis
+            hits.append((np.linalg.norm(delta, axis=-1) <= tol.dedup_tol).any(axis=(1, 2)))
+        return np.concatenate(hits)
     if isinstance(c, (FinitePointSet, PatchConfig)):
-        return _tree(c).query(pts)[0] <= tol.dedup_tol
+        index = _index(c)
+        owner, idx = index.ball(pts, np.full(len(pts), tol.dedup_tol))
+        near = np.linalg.norm(index.points[idx] - pts[owner], axis=1) <= tol.dedup_tol
+        return np.bincount(owner[near], minlength=len(pts)) > 0
     raise TypeError(f"unsupported configuration type {type(c)!r}")
 
 
@@ -459,6 +559,43 @@ def _collinear_direction(pts, rel_tol=1e-9):
     return vt[0]
 
 
+# directions at 45-degree steps, counterclockwise from +x (unnormalised:
+# only the argmax along each matters)
+_OCTANTS = np.array([(1, 1, 0, -1, -1, -1, 0, 1), (0, 1, 1, 1, 0, -1, -1, -1)], dtype=float)
+
+
+def _hull_facets(pts):
+    """Facet rows (n, b) of the convex hull of planar points that are not
+    all collinear: a unit outward normal n with n.x + b <= 0 inside, one row
+    per edge of the counterclockwise monotone chain."""
+
+    def chain(rows):
+        """One half of the hull: every point where the path turns left."""
+        out = []
+        for x, y in rows:
+            while len(out) > 1:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (y - ay) > (by - ay) * (x - ax):
+                    break
+                out.pop()
+            out.append((x, y))
+        return out[:-1]
+
+    # points strictly inside the polygon of the extreme points in eight
+    # directions are no hull vertices; drop them before the loop
+    extreme = np.argmax(pts @ _OCTANTS, axis=0)
+    octagon = pts[extreme[np.diff(extreme, append=extreme[0]) != 0]]
+    if len(octagon) > 2:
+        edge = np.roll(octagon, -1, axis=0) - octagon
+        rel = pts[:, None, :] - octagon
+        pts = pts[~np.all(edge[:, 0] * rel[..., 1] > edge[:, 1] * rel[..., 0], axis=1)]
+    rows = np.unique(pts, axis=0).tolist()  # coordinate order
+    ring = np.array(chain(rows) + chain(rows[::-1]))
+    edge = np.roll(ring, -1, axis=0) - ring
+    normal = np.column_stack([edge[:, 1], -edge[:, 0]]) / np.hypot(edge[:, 0], edge[:, 1])[:, None]
+    return np.column_stack([normal, -np.sum(normal * ring, axis=1)])
+
+
 def _windowed_plane_bases(pts, cutoff, tol):
     """Indices of points whose cutoff-ball lies inside the window spanned by
     the set: an interval along the carrier line for collinear input, the
@@ -470,10 +607,7 @@ def _windowed_plane_bases(pts, cutoff, tol):
         lo, hi = float(t.min()), float(t.max())
         keep = (t >= lo + cutoff - slack) & (t <= hi - cutoff + slack)
         return np.nonzero(keep)[0]
-    from scipy.spatial import ConvexHull  # deferred: only finite planar sets need it
-
-    # each facet row (n, b) has a unit outward normal n and n.x + b <= 0 inside
-    facets = ConvexHull(pts).equations
+    facets = _hull_facets(pts)
     keep = np.all(pts @ facets[:, :2].T + facets[:, 2] <= slack - cutoff, axis=1)
     return np.nonzero(keep)[0]
 

@@ -16,6 +16,7 @@ would give; non-finite coordinates are refused rather than written as
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -67,8 +68,19 @@ def _require_number(value, fieldname):
 
 
 def _parse_coords(raw, dim, fieldname):
+    """Coordinate tuples of a non-empty list of rows of dim numbers, and the
+    same coordinates as an array."""
     if not isinstance(raw, list) or not raw:
         raise ValidationError(f"{fieldname} must be a non-empty list of points", field=fieldname)
+    # one type scan admits plain lists of dim floats, as serialize writes
+    # them (bool, int, str and nesting fail it); other input takes the
+    # per-entry loop, which accepts ints and names the first offender
+    if all(type(entry) is list and len(entry) == dim for entry in raw) and set(
+        map(type, itertools.chain.from_iterable(raw))
+    ) == {float}:
+        coords = np.array(raw)
+        if np.isfinite(coords).all():
+            return tuple(map(tuple, raw)), coords
     points = []
     for i, entry in enumerate(raw):
         where = f"{fieldname}[{i}]"
@@ -77,11 +89,21 @@ def _parse_coords(raw, dim, fieldname):
                 f"{where} must be a list of {dim} coordinates", field=where
             )
         points.append(tuple(_require_number(x, where) for x in entry))
-    return tuple(points)
+    return tuple(points), np.array(points, dtype=float)
 
 
-def _validate_space_points(space, points, fieldname):
+def _validate_space_points(space, points, coords, fieldname):
+    """Refuse points off the unit sphere or outside the open unit disk.
+
+    numpy checks every point first: the sphere norms with the arithmetic of
+    the loop below, the disk test with a margin that only admits points
+    math.hypot also puts inside.  Only when a point fails that check does
+    the per-entry loop run, to decide it and name the first offender.
+    """
     if space == "sphere2":
+        x, y, z = coords.T
+        if np.all(np.abs(np.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-9):
+            return
         for i, p in enumerate(points):
             norm = math.sqrt(sum(x * x for x in p))
             if abs(norm - 1.0) > 1e-9:
@@ -90,6 +112,9 @@ def _validate_space_points(space, points, fieldname):
                     field=f"{fieldname}[{i}]",
                 )
     elif space == "hyperbolic2":
+        x, y = coords.T
+        if np.all(x * x + y * y < 1.0 - 1e-12):
+            return
         for i, p in enumerate(points):
             if math.hypot(p[0], p[1]) >= 1.0:
                 raise ValidationError(
@@ -149,7 +174,7 @@ def parse_config(text):
         raw_basis = raw.get("basis")
         if raw_basis is None:
             raise ValidationError("periodic documents require 'basis'", field="basis")
-        basis = _parse_coords(raw_basis, 2, "basis")
+        basis = _parse_coords(raw_basis, 2, "basis")[0]
         if len(basis) != 2:
             raise ValidationError("basis must have exactly 2 row vectors", field="basis")
         det = basis[0][0] * basis[1][1] - basis[0][1] * basis[1][0]
@@ -157,7 +182,7 @@ def parse_config(text):
             raise ValidationError("basis rows must be linearly independent", field="basis")
         if "motif" not in raw:
             raise ValidationError("periodic documents require 'motif'", field="motif")
-        points = _parse_coords(raw["motif"], 2, "motif")
+        points = _parse_coords(raw["motif"], 2, "motif")[0]
     else:
         if "motif" in raw or "basis" in raw:
             bad = "motif" if "motif" in raw else "basis"
@@ -166,8 +191,8 @@ def parse_config(text):
             )
         if "points" not in raw:
             raise ValidationError(f"{kind} documents require 'points'", field="points")
-        points = _parse_coords(raw["points"], _COORD_DIM[space], "points")
-        _validate_space_points(space, points, "points")
+        points, coords = _parse_coords(raw["points"], _COORD_DIM[space], "points")
+        _validate_space_points(space, points, coords, "points")
         if kind == "patch":
             if "patch_radius" not in raw:
                 raise ValidationError("patch documents require 'patch_radius'", field="patch_radius")

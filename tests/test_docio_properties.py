@@ -1,7 +1,10 @@
-"""Property tests of the document writer: serialize gives the text of
-json.dumps(indent=2) for every document and round-trips through
-parse_config byte for byte.  Skipped when hypothesis is not installed."""
+"""Property tests of the document reader and writer: serialize gives the
+text of json.dumps(indent=2) for every document and round-trips through
+parse_config byte for byte, and parse_config accepts and refuses points
+exactly as the per-entry rules do.  Skipped when hypothesis is not
+installed."""
 import json
+import math
 
 import pytest
 
@@ -9,6 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from balanced_configs.docio import ConfigDocument, parse_config, serialize  # noqa: E402
+from balanced_configs.errors import ValidationError  # noqa: E402
 
 # values whose shortest float text is awkward: signed zero, the smallest
 # subnormal, and the exponents where repr switches to scientific notation
@@ -69,3 +73,73 @@ def test_serialize_matches_json_and_round_trips(doc):
     again = parse_config(text)
     assert again == doc
     assert serialize(again) == text
+
+
+def _reference_points(raw, space):
+    """parse_config's verdict on a points list, by the per-entry rules: the
+    coordinate tuples, or the (field, message) of the first refusal."""
+    dim = 3 if space == "sphere2" else 2
+    points = []
+    for i, entry in enumerate(raw):
+        where = f"points[{i}]"
+        if not isinstance(entry, list) or len(entry) != dim:
+            return where, f"{where} must be a list of {dim} coordinates"
+        for x in entry:
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                return where, f"{where} must be a number, got {x!r}"
+            if not math.isfinite(x):
+                return where, f"{where} must be finite, got {float(x)!r}"
+        points.append(tuple(map(float, entry)))
+    for i, p in enumerate(points):
+        where = f"points[{i}]"
+        if space == "sphere2":
+            off = abs(math.sqrt(sum(x * x for x in p)) - 1.0)
+            if off > 1e-9:
+                return where, f"{where} must be a unit vector (norm off by {off:.3g})"
+        elif space == "hyperbolic2" and math.hypot(p[0], p[1]) >= 1.0:
+            return where, f"{where} must lie strictly inside the unit disk"
+    return tuple(points)
+
+
+def _nudge(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else -math.inf)
+    return x
+
+
+_steps = st.integers(-4, 4)
+
+
+@st.composite
+def _edge_point(draw, space):
+    """A point within a few ulps of |z| = 1 on the disk, of the 1e-9 norm
+    gate on the sphere, or a point that fails the type gate."""
+    t = draw(st.floats(0.0, 2.0 * math.pi))
+    if draw(st.integers(0, 5)) == 0:
+        bad = draw(st.sampled_from([True, "0.5", None, [0.1], math.nan, math.inf, 1]))
+        coords = [0.25] * (3 if space == "sphere2" else 2)
+        coords[draw(st.integers(0, len(coords) - 1))] = bad
+        return coords[: draw(st.sampled_from([len(coords), len(coords), len(coords) - 1]))]
+    if space == "hyperbolic2":
+        x = math.cos(t)
+        return [x, _nudge(math.copysign(math.sqrt(max(0.0, 1.0 - x * x)), math.sin(t)), draw(_steps))]
+    u = math.cos(draw(st.floats(0.0, math.pi)))
+    scale = _nudge(1.0 + draw(st.sampled_from([-1e-9, 0.0, 1e-9])), draw(_steps))
+    w = math.sqrt(max(0.0, 1.0 - u * u))
+    return [scale * w * math.cos(t), scale * w * math.sin(t), scale * u]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_point_gates_match_per_entry_rules(data):
+    space = data.draw(st.sampled_from(["hyperbolic2", "sphere2"]))
+    inner = [0.1, -0.2] if space == "hyperbolic2" else [0.6, 0.0, 0.8]
+    raw = data.draw(st.lists(st.one_of(st.just(inner), _edge_point(space)), min_size=1, max_size=8))
+    expected = _reference_points(raw, space)
+    doc = {"space": space, "kind": "finite", "points": raw}
+    if isinstance(expected[0], str):
+        with pytest.raises(ValidationError) as err:
+            parse_config(doc)
+        assert (err.value.field, str(err.value)) == expected
+    else:
+        assert parse_config(doc).points == expected

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import balanced_configs
+from balanced_configs.docio import document_from, serialize
 from balanced_configs.configs import (
     FinitePointSet,
     PatchConfig,
@@ -378,6 +379,39 @@ class TestVerifyHyperbolic:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_cli_on_finite_sets_and_patches_never_imports_scipy(self, tmp_path):
+        # the neighbour index and the convex hull are numpy only: verify,
+        # classify and symmetry of finite sets and patches load no scipy
+        docs = {
+            "patch.json": gen_hyp_triangle_group(
+                TriangleGroupParams(2, 3, 7, 3), TriangleGroupFlags(True, False, False)
+            ),
+            "plane.json": FinitePointSet("plane", [(x, y) for x in range(12) for y in range(12)]),
+            "sphere.json": gen_sphere("icosahedron", SubsetFlags(True, True, False)),
+        }
+        (tmp_path / "line.json").write_text(serialize(document_from(gen_line(9, 0.5))))
+        for name, config in docs.items():
+            (tmp_path / name).write_text(serialize(document_from(config)))
+        src = os.path.dirname(os.path.dirname(balanced_configs.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "from balanced_configs.cli import main\n"
+            "codes = [main(['verify', name, '--max-radius', '1.5']) for name in sys.argv[1:]]\n"
+            "codes += [main(['classify', 'line.json']), main(['symmetry', 'plane.json'])]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *docs],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip().splitlines()[-1] == "[0, 0, 0, 0, 0] []"
 
     def test_gating_by_certified_radius(self):
         c = self._patch()
