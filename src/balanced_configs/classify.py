@@ -22,7 +22,6 @@ from . import generators
 from .configs import (
     FinitePointSet,
     PeriodicConfig,
-    _windowed_plane_bases,
     canonical_basis,
     contains,
     contains_many,
@@ -32,6 +31,7 @@ from .configs import (
     primitive_periods,
 )
 from .geometry import DEFAULT_TOL
+from .verify import _base_points_for
 
 TRIANGULAR_LATTICE = "TriangularLattice"
 LATTICE = "Lattice"
@@ -130,13 +130,13 @@ def is_group_balanced(c, tol=DEFAULT_TOL):
     validation window lies inside the set.
     """
     if isinstance(c, PeriodicConfig):
-        bases = c.cartesian_motif()
+        reach = 0.0  # motif representatives need no window
     elif isinstance(c, FinitePointSet) and c.space == "plane":
         min_d = min_distance(c, tol)
-        idx = _windowed_plane_bases(c.points, 4.0 * min_d + min_d, tol)
-        bases = c.points[idx]
+        reach = 4.0 * min_d + min_d
     else:
         raise ValueError("group-balance detection requires planar input")
+    bases = _base_points_for(c, reach, tol)
     witnesses = []
     verdict = True
     for p in bases:

@@ -88,12 +88,13 @@ def _write_text(path, text):
             fh.write(text)
 
 
-def _read_document(path):
+def _read_config(path):
+    """The runtime configuration of the document at path (- for stdin)."""
     if path == "-":
-        return parse_config(sys.stdin.read())
+        return to_runtime(parse_config(sys.stdin.read()))
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read())
+            return to_runtime(parse_config(fh.read()))
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}", field="input")
 
@@ -122,13 +123,8 @@ def _jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
-def _verify_params(args):
-    return VerifyParams(
-        max_radius=args.max_radius,
-        tol=Tolerance(
-            class_tol=args.class_tol, residual_tol=args.residual_tol, dedup_tol=1e-9
-        ),
-    )
+def _tolerance(args):
+    return Tolerance(class_tol=args.class_tol, residual_tol=args.residual_tol, dedup_tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +171,8 @@ def _cmd_generate(args):
 
 
 def _cmd_verify(args):
-    doc = _read_document(args.input)
-    config = to_runtime(doc)
-    params = _verify_params(args)
+    config = _read_config(args.input)
+    params = VerifyParams(max_radius=args.max_radius, tol=_tolerance(args))
     if isinstance(config, FinitePointSet) and config.space == "sphere":
         modes = (
             ("scalar_multiple", "tangent_projection")
@@ -219,10 +214,7 @@ def _cmd_verify(args):
 
 
 def _cmd_classify(args):
-    doc = _read_document(args.input)
-    config = to_runtime(doc)
-    tol = Tolerance(class_tol=args.class_tol, residual_tol=args.residual_tol, dedup_tol=1e-9)
-    result = classify(config, tol=tol)
+    result = classify(_read_config(args.input), tol=_tolerance(args))
     details = {
         "tag": result.tag,
         "canonical_params": {k: v for k, v in result.canonical_params.items()},
@@ -233,9 +225,8 @@ def _cmd_classify(args):
 
 
 def _cmd_symmetry(args):
-    doc = _read_document(args.input)
-    config = to_runtime(doc)
-    tol = Tolerance(class_tol=args.class_tol, residual_tol=args.residual_tol, dedup_tol=1e-9)
+    config = _read_config(args.input)
+    tol = _tolerance(args)
     result = is_group_balanced(config, tol=tol)
     witnesses = [
         None if w is None else {"center": list(w.center), "angle": w.angle}
@@ -286,8 +277,7 @@ def _cmd_lemmas(args):
 
 
 def _cmd_render(args):
-    doc = _read_document(args.input)
-    config = to_runtime(doc)
+    config = _read_config(args.input)
     window = None
     if args.window:
         x0, x1, y0, y1 = _parse_pair_list(args.window, "--window", 4)

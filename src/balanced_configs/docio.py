@@ -8,11 +8,15 @@ coordinates.  Patch documents are hyperbolic-only and add the certified
 patch radius.  Per-point labels, when present, live in the free-form string
 metadata map under ``labels`` as a comma-separated list.
 
+A ``ConfigDocument`` holds its coordinates as read-only float64 arrays,
+which ``to_runtime`` and ``document_from`` pass between it and the runtime
+containers without copying.
+
 Coordinates are serialized with Python's shortest round-trip float text, so
 ``parse_config(serialize(doc))`` reproduces ``doc`` exactly.  ``serialize``
-writes the coordinate lists itself, with the bytes ``json.dumps(indent=2)``
-would give; non-finite coordinates are refused rather than written as
-``NaN`` or ``Infinity``.
+formats the coordinate arrays itself, with the bytes ``json.dumps(indent=2)``
+would give, and joins the text once; non-finite coordinates are refused
+rather than written as ``NaN`` or ``Infinity``.
 """
 from __future__ import annotations
 
@@ -41,14 +45,31 @@ _DOC_SPACE = {v: k for k, v in _RUNTIME_SPACE.items()}
 _TOP_LEVEL_FIELDS = {"space", "kind", "basis", "motif", "points", "patch_radius", "metadata"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfigDocument:
     space: str
     kind: str
-    points: tuple  # coordinate tuples; fractional motif for periodic kind
-    basis: tuple | None = None
+    points: np.ndarray  # read-only (n, dim) floats; fractional motif for periodic kind
+    basis: np.ndarray | None = None  # read-only 2x2 floats, rows are the periods
     patch_radius: float | None = None
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # a read-only float view, which copies nothing when given float arrays
+        for name in ("points", "basis"):
+            if getattr(self, name) is not None:
+                coords = np.asarray(getattr(self, name), dtype=float).view()
+                coords.flags.writeable = False
+                object.__setattr__(self, name, coords)
+
+    def __eq__(self, other):
+        if not isinstance(other, ConfigDocument):
+            return NotImplemented
+        fields = ("space", "kind", "patch_radius", "metadata")
+        # array_equal holds a None basis equal to None and to no array
+        return all(getattr(self, f) == getattr(other, f) for f in fields) and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in ("points", "basis")
+        )
 
     @property
     def labels(self):
@@ -68,8 +89,7 @@ def _require_number(value, fieldname):
 
 
 def _parse_coords(raw, dim, fieldname):
-    """Coordinate tuples of a non-empty list of rows of dim numbers, and the
-    same coordinates as an array."""
+    """Float array of a non-empty list of rows of dim numbers."""
     if not isinstance(raw, list) or not raw:
         raise ValidationError(f"{fieldname} must be a non-empty list of points", field=fieldname)
     # one type scan admits plain lists of dim floats, as serialize writes
@@ -80,7 +100,7 @@ def _parse_coords(raw, dim, fieldname):
     ) == {float}:
         coords = np.array(raw)
         if np.isfinite(coords).all():
-            return tuple(map(tuple, raw)), coords
+            return coords
     points = []
     for i, entry in enumerate(raw):
         where = f"{fieldname}[{i}]"
@@ -88,11 +108,11 @@ def _parse_coords(raw, dim, fieldname):
             raise ValidationError(
                 f"{where} must be a list of {dim} coordinates", field=where
             )
-        points.append(tuple(_require_number(x, where) for x in entry))
-    return tuple(points), np.array(points, dtype=float)
+        points.append([_require_number(x, where) for x in entry])
+    return np.array(points, dtype=float)
 
 
-def _validate_space_points(space, points, coords, fieldname):
+def _validate_space_points(space, coords, fieldname):
     """Refuse points off the unit sphere or outside the open unit disk.
 
     numpy checks every point first: the sphere norms with the arithmetic of
@@ -104,7 +124,7 @@ def _validate_space_points(space, points, coords, fieldname):
         x, y, z = coords.T
         if np.all(np.abs(np.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-9):
             return
-        for i, p in enumerate(points):
+        for i, p in enumerate(coords.tolist()):
             norm = math.sqrt(sum(x * x for x in p))
             if abs(norm - 1.0) > 1e-9:
                 raise ValidationError(
@@ -115,7 +135,7 @@ def _validate_space_points(space, points, coords, fieldname):
         x, y = coords.T
         if np.all(x * x + y * y < 1.0 - 1e-12):
             return
-        for i, p in enumerate(points):
+        for i, p in enumerate(coords.tolist()):
             if math.hypot(p[0], p[1]) >= 1.0:
                 raise ValidationError(
                     f"{fieldname}[{i}] must lie strictly inside the unit disk",
@@ -174,15 +194,16 @@ def parse_config(text):
         raw_basis = raw.get("basis")
         if raw_basis is None:
             raise ValidationError("periodic documents require 'basis'", field="basis")
-        basis = _parse_coords(raw_basis, 2, "basis")[0]
+        basis = _parse_coords(raw_basis, 2, "basis")
         if len(basis) != 2:
             raise ValidationError("basis must have exactly 2 row vectors", field="basis")
-        det = basis[0][0] * basis[1][1] - basis[0][1] * basis[1][0]
+        (a, b), (c, d) = basis.tolist()
+        det = a * d - b * c
         if abs(det) <= 1e-12:
             raise ValidationError("basis rows must be linearly independent", field="basis")
         if "motif" not in raw:
             raise ValidationError("periodic documents require 'motif'", field="motif")
-        points = _parse_coords(raw["motif"], 2, "motif")[0]
+        points = _parse_coords(raw["motif"], 2, "motif")
     else:
         if "motif" in raw or "basis" in raw:
             bad = "motif" if "motif" in raw else "basis"
@@ -191,8 +212,8 @@ def parse_config(text):
             )
         if "points" not in raw:
             raise ValidationError(f"{kind} documents require 'points'", field="points")
-        points, coords = _parse_coords(raw["points"], _COORD_DIM[space], "points")
-        _validate_space_points(space, points, coords, "points")
+        points = _parse_coords(raw["points"], _COORD_DIM[space], "points")
+        _validate_space_points(space, points, "points")
         if kind == "patch":
             if "patch_radius" not in raw:
                 raise ValidationError("patch documents require 'patch_radius'", field="patch_radius")
@@ -218,9 +239,9 @@ def parse_config(text):
     )
 
 
-def _coords_json(rows, fieldname):
-    """JSON text of a list of float coordinate rows as the value of a
-    top-level field.
+def _put_coords(pieces, name, coords):
+    """Append the JSON text of a top-level field holding float coordinate
+    rows to pieces.
 
     The bytes are those of json.dumps(indent=2) at that depth, written here
     because json's indenting encoder formats every float in Python; float
@@ -228,53 +249,48 @@ def _coords_json(rows, fieldname):
     coordinate raises ValidationError, since json would write NaN or
     Infinity, which parse_config refuses.
     """
-    if not rows:
-        return "[]"
-    sep = ",\n      "
-    items = [f"[\n      {sep.join(map(float.__repr__, row))}\n    ]" if row else "[]" for row in rows]
-    text = "[\n    " + ",\n    ".join(items) + "\n  ]"
-    if "n" in text:  # repr of a finite float never has an "n"; nan and inf do
-        for i, row in enumerate(rows):
-            if not all(map(math.isfinite, row)):
-                where = f"{fieldname}[{i}]"
-                raise ValidationError(f"{where} must be finite, got {list(row)!r}", field=where)
-    return text
+    finite = np.isfinite(coords).all(axis=-1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        where = f"{name}[{i}]"
+        raise ValidationError(f"{where} must be finite, got {coords[i].tolist()!r}", field=where)
+    pieces.append(f',\n  "{name}": ')
+    if not len(coords):
+        pieces.append("[]")
+        return
+    # one %-format over every coordinate: %r of a float is float.__repr__
+    row = "\n    [" + ",".join(["\n      %r"] * coords.shape[1]) + "\n    ]"
+    template = (row + ",") * (len(coords) - 1) + row
+    pieces += ["[", template % tuple(coords.ravel().tolist()), "\n  ]"]
 
 
 def serialize(doc):
     """Render a document as deterministic JSON text: the text of
     json.dumps(indent=2) plus a newline, with the keys in a fixed order."""
-    fields = [("space", json.dumps(doc.space)), ("kind", json.dumps(doc.kind))]
+    pieces = ["{\n  \"space\": ", json.dumps(doc.space), ",\n  \"kind\": ", json.dumps(doc.kind)]
     if doc.kind == "periodic":
-        fields.append(("basis", _coords_json(doc.basis, "basis")))
-        fields.append(("motif", _coords_json(doc.points, "motif")))
+        _put_coords(pieces, "basis", doc.basis)
+        _put_coords(pieces, "motif", doc.points)
     else:
-        fields.append(("points", _coords_json(doc.points, "points")))
+        _put_coords(pieces, "points", doc.points)
         if doc.kind == "patch":
             _require_number(doc.patch_radius, "patch_radius")
-            fields.append(("patch_radius", json.dumps(doc.patch_radius)))
+            pieces += [",\n  \"patch_radius\": ", json.dumps(doc.patch_radius)]
     if doc.metadata:
         meta = json.dumps({k: doc.metadata[k] for k in sorted(doc.metadata)}, indent=2)
-        fields.append(("metadata", meta.replace("\n", "\n  ")))
-    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {v}" for k, v in fields) + "\n}\n"
+        pieces += [",\n  \"metadata\": ", meta.replace("\n", "\n  ")]
+    pieces.append("\n}\n")
+    return "".join(pieces)
 
 
 def to_runtime(doc):
     """Build the runtime configuration object for a parsed document."""
     labels = doc.labels
     if doc.kind == "periodic":
-        return PeriodicConfig(
-            np.asarray(doc.basis, dtype=float),
-            np.asarray(doc.points, dtype=float),
-            labels=labels,
-        )
+        return PeriodicConfig(doc.basis, doc.points, labels=labels)
     if doc.kind == "patch":
-        return PatchConfig(
-            np.asarray(doc.points, dtype=float), doc.patch_radius, labels=labels
-        )
-    return FinitePointSet(
-        _RUNTIME_SPACE[doc.space], np.asarray(doc.points, dtype=float), labels=labels
-    )
+        return PatchConfig(doc.points, doc.patch_radius, labels=labels)
+    return FinitePointSet(_RUNTIME_SPACE[doc.space], doc.points, labels=labels)
 
 
 def document_from(config, metadata=None):
@@ -287,15 +303,15 @@ def document_from(config, metadata=None):
         return ConfigDocument(
             space="euclidean2",
             kind="periodic",
-            points=tuple(map(tuple, config.motif.tolist())),
-            basis=tuple(map(tuple, config.basis.tolist())),
+            points=config.motif,
+            basis=config.basis,
             metadata=meta,
         )
     if isinstance(config, PatchConfig):
         return ConfigDocument(
             space="hyperbolic2",
             kind="patch",
-            points=tuple(map(tuple, config.points.tolist())),
+            points=config.points,
             patch_radius=float(config.patch_radius),
             metadata=meta,
         )
@@ -303,7 +319,7 @@ def document_from(config, metadata=None):
         return ConfigDocument(
             space=_DOC_SPACE[config.space],
             kind="finite",
-            points=tuple(map(tuple, config.points.tolist())),
+            points=config.points,
             metadata=meta,
         )
     raise TypeError(f"unsupported configuration object {type(config).__name__}")

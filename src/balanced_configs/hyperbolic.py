@@ -11,8 +11,8 @@ _reflect_through, _segment_dist, ...) that takes complex numbers already
 known to lie in the open disk and does no checking of its own.  Every
 formula lives in its core only; the tiling builders call the cores directly
 and validate each point once, when it is created.  _dist, the one disk
-distance, also takes numpy arrays; configs filters its neighbour queries by
-it.
+distance, is accurate up to the boundary and also takes numpy arrays;
+configs filters its neighbour queries by it.
 """
 from __future__ import annotations
 
@@ -48,10 +48,6 @@ def as_disk_point(p):
     return z
 
 
-def to_xy(z):
-    return (z.real, z.imag)
-
-
 def hyp_dist(a, b):
     """Hyperbolic distance between two disk points."""
     return float(_dist(as_disk_point(a), as_disk_point(b)))
@@ -72,10 +68,14 @@ def _translate(c, z):
 
 
 def _dist(a, z):
-    """Hyperbolic distance 2 atanh(|z - a| / |1 - conj(a) z|); a and z may be
-    complex numpy arrays that broadcast.  Unlike acosh(1 + x), it keeps full
-    relative precision for nearly coincident points."""
-    return 2.0 * np.arctanh(np.abs(_translate(a, z)))
+    """Hyperbolic distance 2 asinh(|z - a| / sqrt((1 - |a|^2)(1 - |z|^2)));
+    a and z may be complex numpy arrays that broadcast.  1 - |p|^2 is formed
+    as (1 - |p|)(1 + |p|), whose first factor is exact, so near the boundary
+    the error is that of rounding |p|, where atanh(|z - a| / |1 - conj(a) z|)
+    rounds its argument to 1."""
+    ra = np.abs(a)
+    rz = np.abs(z)
+    return 2.0 * np.arcsinh(np.abs(z - a) / np.sqrt((1.0 - ra) * (1.0 + ra) * (1.0 - rz) * (1.0 + rz)))
 
 
 def _untranslate(c, w):
@@ -184,19 +184,6 @@ def _geodesic(a, b, dedup_tol=1e-9):
     c = complex(cx, cy)
     r = math.sqrt(abs(c) ** 2 - 1.0)
     return "arc", 0j, c, r
-
-
-def reflect_geodesic(g, z):
-    """Reflect a disk point across a geodesic given by its descriptor."""
-    g.validate()
-    z = as_disk_point(z)
-    if g.kind == "diameter":
-        u = g.direction / abs(g.direction)
-        return u * u * z.conjugate()
-    d = z - g.center
-    if d == 0:
-        raise InvalidPointError("cannot invert the center of the reflection circle")
-    return g.center + (g.radius**2) / d.conjugate()
 
 
 def reflect_through(a, b, z):

@@ -31,7 +31,7 @@ from .configs import (
     min_distance,
 )
 from .errors import InsufficientPatchError, NoPairsError
-from .geometry import DEFAULT_TOL, Tolerance, as_vec
+from .geometry import DEFAULT_TOL, Tolerance
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,10 @@ def verify_plane(c, params=VerifyParams()):
     if not (isinstance(c, PeriodicConfig) or (isinstance(c, FinitePointSet) and c.space == "plane")):
         raise ValueError("verify_plane requires a PeriodicConfig or a planar FinitePointSet")
     cutoff = params.max_radius * min_distance(c, tol)
+    bases = _base_points_for(c, cutoff, tol)
     if isinstance(c, PeriodicConfig):
-        bases = c.cartesian_motif()
         note = "verified motif representatives; translation covers the rest"
     else:
-        bases = c.points[_windowed_plane_bases(c.points, cutoff, tol)]
         note = f"verified {len(bases)} of {c.n} points with a full in-window neighborhood"
     owner, pts, d = _neighbors(c, bases, cutoff + tol.class_tol, tol.dedup_tol)
     starts, sizes, means = _cluster(owner, d, tol.class_tol)
@@ -202,13 +201,11 @@ def verify_hyperbolic(c, params=VerifyParams()):
         raise InsufficientPatchError("patch holds fewer than two points")
     tol = params.tol
     cutoff = params.max_radius
-    vr = c.patch_radius - c.center_dists()
-    base_idx = np.nonzero(vr >= cutoff - 1e-12)[0]
-    if len(base_idx) == 0:
+    bases = _base_points_for(c, cutoff - 1e-12, tol)
+    if len(bases) == 0:
         raise InsufficientPatchError(
             f"no point has verifiable_radius >= {cutoff}; patch_radius is {c.patch_radius}"
         )
-    bases = c.points[base_idx]
     owner, pts, d = _neighbors(c, bases, cutoff + tol.class_tol, tol.dedup_tol)
     starts, sizes, means = _cluster(owner, d, tol.class_tol)
     w = hyperbolic._translate(_as_complex(bases)[owner], _as_complex(pts))
@@ -217,23 +214,24 @@ def verify_hyperbolic(c, params=VerifyParams()):
     return BalanceReport(
         checks=_class_checks(bases, owner[starts], means, sizes, residuals, tol),
         cutoff=cutoff,
-        verified_points=len(base_idx),
+        verified_points=len(bases),
         residual_tol=tol.residual_tol,
         notes=[f"certified patch radius {c.patch_radius}"],
     )
 
 
-def _base_points_for(c, params, min_d):
-    tol = params.tol
+def _base_points_for(c, reach, tol):
+    """Base points whose neighbourhood out to reach is known: motif
+    representatives, patch points with verifiable radius >= reach, points of
+    a planar window whose reach-ball lies inside it, or a whole finite set."""
     if isinstance(c, PeriodicConfig):
         return c.cartesian_motif()
+    if isinstance(c, PatchConfig):
+        return c.points[c.patch_radius - c.center_dists() >= reach]
     if isinstance(c, FinitePointSet):
         if c.space == "plane":
-            return c.points[_windowed_plane_bases(c.points, params.max_radius * min_d, tol)]
+            return c.points[_windowed_plane_bases(c.points, reach, tol)]
         return c.points
-    if isinstance(c, PatchConfig):
-        vr = c.patch_radius - c.center_dists()
-        return c.points[vr >= min_d + tol.class_tol]
     raise TypeError(f"unsupported configuration type {type(c)!r}")
 
 
@@ -241,7 +239,8 @@ def max_neighbor_count(c, params=VerifyParams()):
     """Largest number of minimal-distance neighbors over the verified points."""
     tol = params.tol
     min_d = min_distance(c, tol)
-    bases = _base_points_for(c, params, min_d)
+    reach = min_d + tol.class_tol if isinstance(c, PatchConfig) else params.max_radius * min_d
+    bases = _base_points_for(c, reach, tol)
     owner = _neighbors(c, bases, min_d + tol.class_tol, tol.dedup_tol)[0]
     return int(np.bincount(owner, minlength=1).max())
 

@@ -142,4 +142,4 @@ def test_point_gates_match_per_entry_rules(data):
             parse_config(doc)
         assert (err.value.field, str(err.value)) == expected
     else:
-        assert parse_config(doc).points == expected
+        assert parse_config(doc).points.tolist() == [list(p) for p in expected]

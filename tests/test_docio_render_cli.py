@@ -160,6 +160,44 @@ class TestDocumentRoundTrip:
         assert back.points == pytest.approx(c.points)
 
 
+class TestArrayDocuments:
+    def test_coordinates_are_read_only_float_arrays(self):
+        doc = parse_config(serialize(document_from(gen_hexagonal(1.0, SubsetFlags(True, False, False)))))
+        built = ConfigDocument("euclidean2", "finite", ((0, 1), (2, 3)))
+        for arr in (doc.points, doc.basis, built.points):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 5.0
+        assert built.points.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
+    def test_equality_is_by_value(self):
+        doc = ConfigDocument("euclidean2", "finite", ((0.0, 1.0), (2.0, 3.0)))
+        assert doc == ConfigDocument("euclidean2", "finite", np.array([[-0.0, 1.0], [2.0, 3.0]]))
+        assert doc != ConfigDocument("euclidean2", "finite", ((0.0, 1.0, 2.0, 3.0),))
+        assert doc != ConfigDocument("euclidean2", "finite", ((0.0, 1.0),))
+        assert doc != ConfigDocument("euclidean2", "finite", ((0.0, 1.0), (2.0, 3.5)))
+        assert doc != ConfigDocument("euclidean2", "finite", doc.points, metadata={"a": "b"})
+        unit = ((1.0, 0.0), (0.0, 1.0))
+        periodic = ConfigDocument("euclidean2", "periodic", ((0.0, 0.0),), basis=unit)
+        assert periodic == ConfigDocument("euclidean2", "periodic", ((-0.0, 0.0),), basis=np.eye(2))
+        assert periodic != ConfigDocument("euclidean2", "periodic", ((0.0, 0.0),))
+        assert ConfigDocument("euclidean2", "periodic", ((0.0, 0.0),)) != periodic
+        assert ConfigDocument("euclidean2", "finite", ((0.0, 0.0),)) == ConfigDocument(
+            "euclidean2", "finite", ((0.0, 0.0),)
+        )
+
+    def test_runtime_shares_the_document_arrays(self):
+        for config in (
+            gen_sphere("cube", SubsetFlags(True, False, False)),
+            gen_hyp_triangle_group(TriangleGroupParams(2, 3, 7, 2), TriangleGroupFlags(True, False, False)),
+            gen_line(5, 1.0),
+        ):
+            doc = parse_config(serialize(document_from(config)))
+            back = to_runtime(doc)
+            assert np.shares_memory(back.points, doc.points)
+            assert np.array_equal(back.points, config.points)
+
+
 def _err(text):
     with pytest.raises(ValidationError) as info:
         parse_config(text)

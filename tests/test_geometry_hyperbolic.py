@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from balanced_configs import hyperbolic
 from balanced_configs.errors import DegenerateDirectionError, InvalidPointError
 from balanced_configs.geometry import (
     Tolerance,
@@ -33,7 +34,6 @@ from balanced_configs.hyperbolic import (
     reflect_through,
     rotate_about,
     segment_dist_to_origin,
-    to_xy,
 )
 
 
@@ -117,6 +117,39 @@ class TestDiskMetric:
     def test_boundary_rejected(self):
         with pytest.raises(Exception):
             as_disk_point((1.0, 0.0))
+
+    def test_dist_matches_mpmath_near_coincidence_and_boundary(self):
+        """The array distance against 50-digit arithmetic on the same float
+        inputs, for 1 - |z| from 0.5 down to 1e-12 and separations from 1e-12
+        to far apart.  Rounding |p| moves 1 - |p| by about eps, so the
+        relative error may grow like eps / (1 - |p|), and no further."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(41)
+        a, z = [], []
+        for gap in (0.5, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+            for sep in (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 3.0):
+                for _ in range(4):
+                    phi = rng.uniform(0.0, 2.0 * math.pi)
+                    p = cmath.rect(1.0 - gap * rng.uniform(1.0, 2.0), phi)
+                    # half the pairs move along the circle, half in a random direction
+                    if rng.uniform() < 0.5:
+                        q = cmath.rect(1.0 - gap * rng.uniform(1.0, 2.0), phi + sep)
+                    else:
+                        q = p + cmath.rect(sep * (1.0 - abs(p)), rng.uniform(0.0, 2.0 * math.pi))
+                    if abs(q) < 1.0:
+                        a.append(p)
+                        z.append(q)
+        a, z = np.array(a), np.array(z)
+        with np.errstate(all="raise"):
+            got = hyperbolic._dist(a, z)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(50):
+            for p, q, d in zip(a.tolist(), z.tolist(), got.tolist()):
+                px, py, qx, qy = map(mpmath.mpf, (p.real, p.imag, q.real, q.imag))
+                s2 = ((qx - px) ** 2 + (qy - py) ** 2) / ((1 - px**2 - py**2) * (1 - qx**2 - qy**2))
+                want = 2 * mpmath.asinh(mpmath.sqrt(s2))
+                bound = 4 * eps * (1.0 + 1.0 / (1.0 - abs(p)) + 1.0 / (1.0 - abs(q)))
+                assert abs(d - want) <= bound * want, (p, q, d, want)
 
 
 class TestMobiusMaps:
