@@ -22,6 +22,9 @@ from . import generators
 from .configs import (
     FinitePointSet,
     PeriodicConfig,
+    _cluster,
+    _neighbors,
+    _ranges,
     canonical_basis,
     contains,
     contains_many,
@@ -77,49 +80,65 @@ class ConfigClass:
     canonical_params: dict
 
 
-def _first_class_points(c, p, tol):
-    """Members of the nearest distance class at p (which need not be at the
-    global minimal distance, e.g. for hexagon face centers)."""
-    radius = min_distance(c, tol)
-    for _ in range(8):
-        classes = distance_classes(c, p, radius, tol)
-        if classes:
-            return classes[0].points
-        radius *= 2.0
-    return np.zeros((0, 2))
+def _rotation_angles(c, bases, min_d, tol):
+    """rotation_symmetries_about for each row of bases, batched.
+
+    One kernel call gives every base's validation window, and with it the
+    first class of every base that has a neighbour at the minimal distance;
+    one membership probe validates every rotated window.
+    """
+    owner, pts, d = _neighbors(c, bases, 4.0 * min_d + tol.class_tol, tol.dedup_tol)
+    count = np.bincount(owner, minlength=len(bases))
+    start = np.cumsum(count) - count
+    near = d <= min_d + tol.class_tol
+    # the minimal-distance shell holds at most one class per base: the
+    # clusterer raises AmbiguousClassError on two, as distance_classes does
+    _cluster(owner[near], d[near], tol.class_tol)
+    shells = np.split(pts[near], np.cumsum(np.bincount(owner[near], minlength=len(bases)))[:-1])
+    cands = []
+    for p, first in zip(bases, shells):
+        radius = 2.0 * min_d
+        while len(first) == 0 and radius <= 128.0 * min_d:
+            # the nearest class lies farther out (hexagon face centers)
+            classes = distance_classes(c, p, radius, tol)
+            first = classes[0].points if classes else first
+            radius *= 2.0
+        rel = (first[:, 0] - p[0]) + 1j * (first[:, 1] - p[1])
+        angles = {round(math.pi, 12)} if len(rel) else set()
+        for w in rel:
+            ang = cmath.phase(w / rel[0]) % (2.0 * math.pi)
+            if 1e-9 < ang < 2.0 * math.pi - 1e-9:
+                angles.add(round(ang, 12))
+        cands.append(sorted(angles))
+    # probes: every window point of every base, under each of its candidates
+    cand_owner = np.repeat(np.arange(len(bases)), [len(a) for a in cands])
+    cand_angle = [a for angles in cands for a in angles]
+    rotors = np.array([cmath.exp(1j * a) for a in cand_angle], dtype=complex)
+    probe_cand = np.repeat(np.arange(len(cand_owner)), count[cand_owner])
+    probe = _ranges(start[cand_owner], count[cand_owner])
+    centre = bases[owner[probe]]
+    rot = ((pts[probe, 0] - centre[:, 0]) + 1j * (pts[probe, 1] - centre[:, 1])) * rotors[probe_cand]
+    hit = contains_many(c, np.column_stack([rot.real + centre[:, 0], rot.imag + centre[:, 1]]), tol)
+    valid = np.bincount(probe_cand[~hit], minlength=len(cand_owner)) == 0
+    out = [[] for _ in bases]
+    for i, a, ok in zip(cand_owner.tolist(), cand_angle, valid.tolist()):
+        if ok:
+            out[i].append(float(a))
+    return out
 
 
 def rotation_symmetries_about(c, p, tol=DEFAULT_TOL):
-    """All rotation angles in (0, 2*pi) about p that map the configuration to
-    itself on a validation window of radius 4x the minimal distance.
+    """All rotation angles in (0, 2*pi) about p, ascending, that map the
+    configuration to itself on a validation window of radius 4x the minimal
+    distance.
 
     Candidates come from the angles between members of the first distance
     class at p (any symmetry fixing p permutes that class), plus pi.
     """
-    p = np.asarray(p, dtype=float).reshape(2)
+    p = np.asarray(p, dtype=float).reshape(1, 2)
     if not contains(c, p, tol):
         raise ValueError("symmetry center must belong to the configuration")
-    first = _first_class_points(c, p, tol)
-    if len(first) == 0:
-        return []
-    rel = (first[:, 0] - p[0]) + 1j * (first[:, 1] - p[1])
-    ref = rel[0]
-    cands = set()
-    for w in rel:
-        ang = cmath.phase(w / ref) % (2.0 * math.pi)
-        if 1e-9 < ang < 2.0 * math.pi - 1e-9:
-            cands.add(round(ang, 12))
-    cands.add(round(math.pi, 12))
-    min_d = min_distance(c, tol)
-    window = points_within(c, p, 4.0 * min_d, tol)
-    window_rel = (window[:, 0] - p[0]) + 1j * (window[:, 1] - p[1])
-    validated = []
-    for ang in sorted(cands):
-        rot = window_rel * cmath.exp(1j * ang)
-        pts = np.column_stack([rot.real + p[0], rot.imag + p[1]])
-        if np.all(contains_many(c, pts, tol)):
-            validated.append(float(ang))
-    return validated
+    return _rotation_angles(c, p, min_distance(c, tol), tol)[0]
 
 
 def is_group_balanced(c, tol=DEFAULT_TOL):
@@ -127,26 +146,20 @@ def is_group_balanced(c, tol=DEFAULT_TOL):
 
     For periodic input the motif representatives are checked; for a finite
     planar window, only points far enough from the boundary that their
-    validation window lies inside the set.
+    validation window lies inside the set.  Each witness is the smallest
+    validated angle.
     """
-    if isinstance(c, PeriodicConfig):
-        reach = 0.0  # motif representatives need no window
-    elif isinstance(c, FinitePointSet) and c.space == "plane":
-        min_d = min_distance(c, tol)
-        reach = 4.0 * min_d + min_d
-    else:
+    if not (isinstance(c, PeriodicConfig) or (isinstance(c, FinitePointSet) and c.space == "plane")):
         raise ValueError("group-balance detection requires planar input")
+    min_d = min_distance(c, tol)
+    # motif representatives need no window
+    reach = 0.0 if isinstance(c, PeriodicConfig) else 4.0 * min_d + min_d
     bases = _base_points_for(c, reach, tol)
-    witnesses = []
-    verdict = True
-    for p in bases:
-        angles = rotation_symmetries_about(c, p, tol)
-        if angles:
-            witnesses.append(SymmetryWitness(center=tuple(p), angle=angles[0]))
-        else:
-            witnesses.append(None)
-            verdict = False
-    return GroupBalanceResult(verdict=verdict, witnesses=tuple(witnesses))
+    witnesses = tuple(
+        SymmetryWitness(center=tuple(p), angle=angles[0]) if angles else None
+        for p, angles in zip(bases, _rotation_angles(c, bases, min_d, tol))
+    )
+    return GroupBalanceResult(verdict=None not in witnesses, witnesses=witnesses)
 
 
 def neighbor_case_signature(c, tol=DEFAULT_TOL):
@@ -155,11 +168,9 @@ def neighbor_case_signature(c, tol=DEFAULT_TOL):
     face centers) contribute 0."""
     if not isinstance(c, PeriodicConfig):
         raise ValueError("neighbor signatures are defined for periodic configurations")
-    min_d = min_distance(c, tol)
-    counts = []
-    for p in c.cartesian_motif():
-        counts.append(len(points_within(c, p, min_d, tol)))
-    return tuple(sorted(counts, reverse=True))
+    reach = min_distance(c, tol) + tol.class_tol
+    owner = _neighbors(c, c.cartesian_motif(), reach, tol.dedup_tol)[0]
+    return tuple(sorted(np.bincount(owner, minlength=c.k).tolist(), reverse=True))
 
 
 # ---------------------------------------------------------------------------

@@ -64,14 +64,11 @@ class PeriodicConfig:
 
     def _check_motif_distinct(self, tol=DEFAULT_TOL):
         cart = self.cartesian_motif()
-        shifts = _shift_grid() @ self.basis
-        for i in range(len(cart)):
-            diff = cart[i + 1 :] - cart[i]
-            if len(diff) == 0:
-                continue
-            d = np.linalg.norm(diff[:, None, :] + shifts[None, :, :], axis=2)
-            if np.any(d <= tol.dedup_tol):
-                raise InvalidPointError("motif points must be pairwise distinct modulo the lattice")
+        k = np.arange(len(cart))
+        i, j = np.nonzero(k[:, None] < k)
+        d = np.linalg.norm((cart[j] - cart[i])[:, None, :] + _shift_grid() @ self.basis, axis=2)
+        if np.any(d <= tol.dedup_tol):
+            raise InvalidPointError("motif points must be pairwise distinct modulo the lattice")
 
     @property
     def k(self):
@@ -198,8 +195,7 @@ class DistanceClass:
 
 
 def _shift_grid():
-    g = np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
-    return g
+    return np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
 
 
 def _lagrange_reduce(basis):
@@ -366,8 +362,9 @@ def _pair_dists(space, a, b):
     return np.linalg.norm(b - a, axis=-1)
 
 
-# candidate translates per chunk of bases on the periodic path, bounding memory
-_LATTICE_CHUNK = 1 << 18
+# elements per chunk on the periodic path (candidate translates of a block of
+# bases, or motif translates of a block of probes), bounding memory
+_LATTICE_CHUNK = 1 << 13
 
 
 def _neighbors(c, bases, reach, dedup_tol):
@@ -426,6 +423,16 @@ def _neighbors(c, bases, reach, dedup_tol):
     # index.points is in coordinate order, so idx breaks distance ties
     order = np.lexsort((idx, d, owner))
     return owner[order], index.points[idx[order]], d[order]
+
+
+def _row_dots(a, b):
+    """Dot product of each row of a with the matching row of b (broadcast).
+
+    Each row is one stacked 1-D matmul, the dot product that a[i] @ b[i] and
+    np.linalg.norm take, so results are bit-identical to a per-row loop; a
+    row sum of a * b may round differently.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _cluster(owner, dists, class_tol):
@@ -527,17 +534,18 @@ def contains(c, p, tol=DEFAULT_TOL):
 def contains_many(c, pts, tol=DEFAULT_TOL):
     """Vectorized membership test: is some configuration point within
     dedup_tol (Euclidean; chordal on the sphere) of each row of pts?
-    Periodic input wraps fractional parts and checks the 3x3 neighbouring
-    translates of every motif point, so points on cell boundaries match."""
+    Periodic input wraps fractional parts; a translate within dedup_tol of a
+    motif point differs from it by the rounded fractional difference (one of
+    the 3x3 neighbouring translates), so points on cell boundaries match."""
     pts = np.asarray(pts, dtype=float)
     if isinstance(c, PeriodicConfig):
         frac = np.mod(pts @ np.linalg.inv(c.basis), 1.0)
-        shifts = _shift_grid()
-        chunk = max(1, _LATTICE_CHUNK // (len(c.motif) * len(shifts)))
+        chunk = max(1, _LATTICE_CHUNK // len(c.motif))
         hits = [np.zeros(0, dtype=bool)]
         for s in range(0, len(frac), chunk):
-            delta = (frac[s : s + chunk, None, None, :] - c.motif[:, None, :] - shifts) @ c.basis
-            hits.append((np.linalg.norm(delta, axis=-1) <= tol.dedup_tol).any(axis=(1, 2)))
+            delta = frac[s : s + chunk, None, :] - c.motif
+            delta = (delta - np.round(delta)) @ c.basis
+            hits.append((np.linalg.norm(delta, axis=-1) <= tol.dedup_tol).any(axis=1))
         return np.concatenate(hits)
     if isinstance(c, (FinitePointSet, PatchConfig)):
         index = _index(c)
@@ -650,8 +658,8 @@ def _period_denominator(frac, kmax, tol=1e-6):
 def primitive_periods(c, tol=DEFAULT_TOL):
     """Shrink the motif by absorbing any translation symmetry into the basis.
 
-    Candidate sub-periods are the pairwise motif differences; each one is
-    validated by membership checks of every translated motif point.  A valid
+    Candidate sub-periods are the pairwise motif differences, validated
+    together by one membership probe of every translated motif point.  A valid
     period t extends the lattice to L + Zt, whose basis is recovered through
     an integer Hermite reduction; the motif is then re-reduced and deduplicated
     in the finer lattice.  Iterates until no candidate survives.
@@ -659,34 +667,23 @@ def primitive_periods(c, tol=DEFAULT_TOL):
     cur = canonical_basis(c)
     while cur.k > 1:
         cart = cur.cartesian_motif()
-        diffs = []
-        for i in range(cur.k):
-            for j in range(cur.k):
-                if i == j:
-                    continue
-                d = np.mod(cur.motif[j] - cur.motif[i], 1.0)
-                diffs.append(d)
-        seen = set()
-        cands = []
-        for d in diffs:
-            key = tuple(np.round(d * 1e9).astype(int) % int(1e9))
-            if key in seen:
-                continue
-            seen.add(key)
-            cands.append(d)
-        cands.sort(key=lambda d: float(np.linalg.norm(d @ cur.basis)))
-        applied = False
-        for dfrac in cands:
-            t = dfrac @ cur.basis
-            if float(np.linalg.norm(t)) <= tol.dedup_tol:
-                continue
-            if not np.all(contains_many(cur, cart + t, tol)):
-                continue
+        # differences motif[j] - motif[i], i != j, in (i, j) order; the first
+        # of each to 1e-9 modulo the lattice, shortest first
+        diffs = np.mod(cur.motif[None, :, :] - cur.motif[:, None, :], 1.0)[~np.eye(cur.k, dtype=bool)]
+        keys = np.round(diffs * 1e9).astype(int) % int(1e9)
+        cands = diffs[np.sort(np.unique(keys, axis=0, return_index=True)[1])]
+        t = (cands[:, None, :] @ cur.basis)[:, 0]
+        length = np.sqrt(_row_dots(t, t))
+        order = np.argsort(length, kind="stable")
+        cands, t, length = cands[order], t[order], length[order]
+        # one membership probe of every translated motif point, all candidates
+        shifted = (cart[None, :, :] + t[:, None, :]).reshape(-1, 2)
+        periodic = contains_many(cur, shifted, tol).reshape(len(t), cur.k).all(axis=1)
+        for dfrac in cands[periodic & (length > tol.dedup_tol)]:
             q, pvec = _period_denominator(dfrac, cur.k)
             if q is None:
                 continue
-            rows = [[q, 0], [0, q], list(pvec)]
-            hnf = _hnf_rows(rows)
+            hnf = _hnf_rows([[q, 0], [0, q], list(pvec)])
             new_basis = (hnf / q) @ cur.basis
             inv = np.linalg.inv(new_basis)
             frac = np.mod(cart @ inv, 1.0)
@@ -695,23 +692,15 @@ def primitive_periods(c, tol=DEFAULT_TOL):
             if abs(index - round(index)) > 1e-9 or len(new_motif) * round(index) != cur.k:
                 continue
             cur = canonical_basis(PeriodicConfig(new_basis, new_motif))
-            applied = True
             break
-        if not applied:
+        else:
             break
     return cur
 
 
 def _dedup_fracs(frac, basis, tol):
-    kept = []
-    shifts = _shift_grid()
-    for f in frac:
-        dup = False
-        for g in kept:
-            delta = (f - g + shifts) @ basis
-            if np.min(np.linalg.norm(delta, axis=1)) <= tol.dedup_tol:
-                dup = True
-                break
-        if not dup:
-            kept.append(f)
-    return np.array(kept)
+    """Rows of frac, less each one within dedup_tol of an earlier row modulo
+    the lattice (the rounded fractional difference is the nearest translate)."""
+    delta = frac[:, None, :] - frac[None, :, :]
+    near = np.linalg.norm((delta - np.round(delta)) @ basis, axis=-1) <= tol.dedup_tol
+    return frac[~np.tril(near, -1).any(axis=1)]

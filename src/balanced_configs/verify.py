@@ -27,6 +27,7 @@ from .configs import (
     _cluster,
     _neighbors,
     _pair_dists,
+    _row_dots,
     _windowed_plane_bases,
     min_distance,
 )
@@ -123,16 +124,6 @@ def verify_plane(c, params=VerifyParams()):
         residual_tol=tol.residual_tol,
         notes=[note],
     )
-
-
-def _row_dots(a, b):
-    """Dot product of each row of a with the matching row of b (broadcast).
-
-    Each row is one stacked 1-D matmul, the dot product that a[i] @ b[i] and
-    np.linalg.norm take, so results are bit-identical to a per-row loop; a
-    row sum of a * b may round differently.
-    """
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _class_checks(bases, class_owner, means, sizes, residuals, tol):
