@@ -24,6 +24,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,7 +72,7 @@ class ConfigDocument:
             np.array_equal(getattr(self, f), getattr(other, f)) for f in ("points", "basis")
         )
 
-    @property
+    @cached_property  # split once: to_runtime hands this tuple to the container
     def labels(self):
         raw = self.metadata.get("labels")
         if raw is None:
@@ -223,13 +224,7 @@ def parse_config(text):
     if kind != "patch" and "patch_radius" in raw:
         raise ValidationError("'patch_radius' is only valid for patch documents", field="patch_radius")
 
-    labels = metadata.get("labels")
-    if labels is not None and len(labels.split(",")) != len(points):
-        raise ValidationError(
-            "metadata labels must list one label per point", field="metadata"
-        )
-
-    return ConfigDocument(
+    doc = ConfigDocument(
         space=space,
         kind=kind,
         points=points,
@@ -237,6 +232,11 @@ def parse_config(text):
         patch_radius=patch_radius,
         metadata=dict(metadata),
     )
+    if doc.labels is not None and len(doc.labels) != len(points):
+        raise ValidationError(
+            "metadata labels must list one label per point", field="metadata"
+        )
+    return doc
 
 
 def _put_coords(pieces, name, coords):

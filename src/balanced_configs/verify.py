@@ -9,10 +9,11 @@ whose whole neighborhood up to the cutoff is known.
 
 Each verifier makes one call to the neighbour kernel of ``configs`` for all
 of its base points and one call to its clusterer, then computes only its own
-residual per class, on flat arrays.
+residual per class, on flat arrays, which the report keeps as its columns.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,33 +65,83 @@ class ClassCheck:
     passed: bool
 
 
-@dataclass
-class BalanceReport:
-    """Aggregated verdict over all verified base points and classes."""
+class _ClassCheckView(Sequence):
+    """A report's classes as a read-only sequence of ClassCheck values, each
+    built from the columns on access; a slice is a list."""
 
-    checks: list
+    def __init__(self, report):
+        self._report = report
+
+    def __len__(self):
+        return len(self._report.size)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self._build(i))
+        return next(self._build([i]))
+
+    def __iter__(self):
+        return self._build(slice(None))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _ClassCheckView)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def _build(self, rows):
+        r = self._report
+        norms = r.residual_norm[rows]
+        bases = map(tuple, r.bases[r.class_owner[rows]].tolist())
+        columns = r.distance[rows].tolist(), r.size[rows].tolist(), map(tuple, r.residual[rows].tolist())
+        return map(ClassCheck, bases, *columns, norms.tolist(), (norms <= r.residual_tol).tolist())
+
+
+@dataclass(eq=False)
+class BalanceReport:
+    """Verdict over the verified base points (the rows of bases), one column
+    per class field: class i lies at distance[i] from bases[class_owner[i]],
+    with size[i] members and residual row residual[i] of norm residual_norm[i]."""
+
+    bases: np.ndarray
+    class_owner: np.ndarray
+    distance: np.ndarray
+    size: np.ndarray
+    residual: np.ndarray
     cutoff: float
-    verified_points: int
     residual_tol: float
     notes: list = field(default_factory=list)
+    residual_norm: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.residual_norm = np.sqrt(_row_dots(self.residual, self.residual))
+
+    @property
+    def checks(self):
+        return _ClassCheckView(self)
+
+    @property
+    def verified_points(self):
+        return len(self.bases)
 
     @property
     def passed(self):
-        return all(ch.passed for ch in self.checks)
+        return bool((self.residual_norm <= self.residual_tol).all())
 
     @property
     def worst_residual(self):
-        return max((ch.residual_norm for ch in self.checks), default=0.0)
+        return float(self.residual_norm.max(initial=0.0))
 
     @property
     def failing(self):
-        return [(ch.base, ch.distance) for ch in self.checks if not ch.passed]
+        bad = ~(self.residual_norm <= self.residual_tol)  # a NaN residual fails
+        bases = self.bases[self.class_owner[bad]].tolist()
+        return [(tuple(b), d) for b, d in zip(bases, self.distance[bad].tolist())]
 
     def summary(self):
         return {
             "passed": self.passed,
             "verified_points": self.verified_points,
-            "classes_checked": len(self.checks),
+            "classes_checked": len(self.size),
             "cutoff": self.cutoff,
             "residual_tol": self.residual_tol,
             "worst_residual": self.worst_residual,
@@ -118,31 +169,11 @@ def verify_plane(c, params=VerifyParams()):
     class_owner = owner[starts]
     residuals = np.add.reduceat(pts, starts) - sizes[:, None] * bases[class_owner]
     return BalanceReport(
-        checks=_class_checks(bases, class_owner, means, sizes, residuals, tol),
+        bases, class_owner, means, sizes, residuals,
         cutoff=cutoff,
-        verified_points=len(bases),
         residual_tol=tol.residual_tol,
         notes=[note],
     )
-
-
-def _class_checks(bases, class_owner, means, sizes, residuals, tol):
-    """One ClassCheck per class, from flat per-class arrays."""
-    norms = np.sqrt(_row_dots(residuals, residuals))
-    base_tuples = [tuple(b) for b in bases.tolist()]
-    return [
-        ClassCheck(
-            base=base_tuples[o],
-            distance=m,
-            size=s,
-            residual=r,
-            residual_norm=n,
-            passed=n <= tol.residual_tol,
-        )
-        for o, m, s, r, n in zip(
-            class_owner.tolist(), means.tolist(), sizes.tolist(), zip(*residuals.T.tolist()), norms.tolist()
-        )
-    ]
 
 
 def verify_sphere(c, params=VerifyParams(), mode="scalar_multiple"):
@@ -169,9 +200,8 @@ def verify_sphere(c, params=VerifyParams(), mode="scalar_multiple"):
     else:
         residuals = totals - _row_dots(totals, base)[:, None] * base
     return BalanceReport(
-        checks=_class_checks(c.points, class_owner, means, sizes, residuals, tol),
+        c.points, class_owner, means, sizes, residuals,
         cutoff=cutoff,
-        verified_points=c.n,
         residual_tol=tol.residual_tol,
         notes=[f"mode: {mode}"],
     )
@@ -203,9 +233,8 @@ def verify_hyperbolic(c, params=VerifyParams()):
     totals = np.add.reduceat(w / np.abs(w), starts)
     residuals = np.column_stack([totals.real, totals.imag])
     return BalanceReport(
-        checks=_class_checks(bases, owner[starts], means, sizes, residuals, tol),
+        bases, owner[starts], means, sizes, residuals,
         cutoff=cutoff,
-        verified_points=len(bases),
         residual_tol=tol.residual_tol,
         notes=[f"certified patch radius {c.patch_radius}"],
     )

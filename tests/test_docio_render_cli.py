@@ -135,6 +135,16 @@ class TestDocumentRoundTrip:
         assert doc.labels == ("a", "b")
         assert ConfigDocument("euclidean2", "finite", ((0.0, 0.0),)).labels is None
 
+    def test_labels_split_once_and_shared_with_runtime(self):
+        c = gen_hyp_triangle_group(TriangleGroupParams(2, 3, 7, 2), TriangleGroupFlags(True, True, True))
+        doc = parse_config(serialize(document_from(c)))
+        assert doc.labels == c.labels
+        assert doc.labels is doc.labels
+        assert to_runtime(doc).labels is doc.labels
+        bad = dict(json.loads(serialize(document_from(c))), metadata={"labels": "a,b"})
+        with pytest.raises(ValidationError, match="one label per point"):
+            parse_config(bad)
+
     def test_runtime_round_trip_periodic(self):
         c = gen_hexagonal(1.0, SubsetFlags(True, True, False))
         doc = parse_config(serialize(document_from(c)))

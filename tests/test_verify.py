@@ -2,15 +2,18 @@
 mode agreement on the sphere, certified-radius gating for patches, windowed
 base selection for finite planar sets, and minimal-distance reporting."""
 import cmath
+import hashlib
 import math
 import os
 import subprocess
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
 import balanced_configs
+from balanced_configs.cli import main
 from balanced_configs.docio import document_from, serialize
 from balanced_configs.configs import (
     FinitePointSet,
@@ -21,18 +24,23 @@ from balanced_configs.configs import (
 )
 from balanced_configs.errors import AmbiguousClassError, InsufficientPatchError, NoPairsError
 from balanced_configs.generators import (
+    RotationTilingFlags,
+    RotationTilingParams,
     SubsetFlags,
     TriangleGroupFlags,
     TriangleGroupParams,
     gen_hexagonal,
+    gen_hyp_rotation_tiling,
     gen_hyp_triangle_group,
     gen_line,
     gen_sphere,
     gen_triangular,
 )
-from balanced_configs.geometry import DEFAULT_TOL
+from balanced_configs.geometry import DEFAULT_TOL, Tolerance
 from balanced_configs.hyperbolic import hyp_dist, hyp_log_dir
 from balanced_configs.verify import (
+    BalanceReport,
+    ClassCheck,
     VerifyParams,
     check_min_distance_property,
     max_neighbor_count,
@@ -498,3 +506,199 @@ class TestMinDistanceProperty:
         out = check_min_distance_property(c)
         p, q = (np.asarray(v) for v in out["pair"])
         assert np.linalg.norm(p - q) == pytest.approx(out["min_d"], abs=1e-12)
+
+
+class TestGoldenReports:
+    """CLI verify stdout pinned by sha256: the report's JSON text must stay
+    byte-for-byte the same whatever holds the per-class results."""
+
+    def _tiling(self):
+        params = RotationTilingParams(math.radians(30), math.radians(40), math.radians(50), 3, 4)
+        return gen_hyp_rotation_tiling(params, RotationTilingFlags(True, True, True, True))
+
+    def _verify_sha(self, capsys, tmp_path, config, *flags):
+        path = tmp_path / "config.json"
+        path.write_text(serialize(document_from(config)))
+        code = main(["verify", str(path), *flags])
+        return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    def test_depth4_tiling(self, capsys, tmp_path):
+        got = self._verify_sha(capsys, tmp_path, self._tiling(), "--max-radius", "1.5", "--residual-tol", "1e-8")
+        assert got == (0, "d24eaa8b96c7de4bf160f59c9fb0da51782f8d0b64f4608d0e8b4ea53c603919")
+
+    def test_depth4_tiling_displaced_control(self, capsys, tmp_path):
+        c = self._tiling()
+        moved = np.array(c.points)
+        moved[np.argmin(c.center_dists()) + 7] += 1e-3 * np.array([math.cos(0.3), math.sin(0.3)])
+        control = PatchConfig(moved, c.patch_radius, labels=c.labels)
+        got = self._verify_sha(
+            capsys, tmp_path, control, "--max-radius", "1.5", "--residual-tol", "1e-8", "--class-tol", "1e-8"
+        )
+        assert got == (1, "d31fffb337faa7121361b8340c89d714152bf67a0a12054889f6f53bb363ee24")
+
+    def test_grid_40(self, capsys, tmp_path):
+        xs = np.arange(40.0)
+        grid = FinitePointSet("plane", np.array([(x, y) for x in xs for y in xs]))
+        assert self._verify_sha(capsys, tmp_path, grid) == (0, "c1d9e53124693233625e4c1c5f8aa6e8413a4ed1762947f4b8e4a48a5617920f")
+
+    def test_sphere_both_modes(self, capsys, tmp_path):
+        c = gen_sphere("icosahedron", SubsetFlags(True, True, True))
+        assert self._verify_sha(capsys, tmp_path, c, "--mode", "both") == (0, "dbdce655e6502f399e71abfd9ed421297847bab8011ec983d0e24832454617ea")
+
+
+def _class_sum(rows):
+    # numpy's reduceat adds in another order than a row-by-row sum, which
+    # moves the last bits of classes of four or more members; summing each
+    # class alone the same way lets the comparison be exact
+    return np.add.reduceat(rows, [0])[0]
+
+
+def _plane_residual(base, pts):
+    return _class_sum(pts) - len(pts) * base
+
+
+def _sphere_residual(mode):
+    def residual(base, pts):
+        total = _class_sum(pts)
+        if mode == "scalar_multiple":
+            return np.cross(total, base)
+        return total - (total @ base) * base
+    return residual
+
+
+def _disk_residual(base, pts):
+    # unit directions of the geodesics: the members Mobius-translated so
+    # that base sits at the origin, normalised
+    b = complex(*base)
+    w = (pts[:, 0] + 1j * pts[:, 1] - b) / (1.0 - b.conjugate() * (pts[:, 0] + 1j * pts[:, 1]))
+    total = _class_sum(w / np.abs(w))
+    return np.array([total.real, total.imag])
+
+
+def _oracle_checks(c, bases, cutoff, tol, residual):
+    """ClassCheck values built one base at a time from distance_classes,
+    with the residual summed class by class here."""
+    out = []
+    for base in bases:
+        for cl in distance_classes(c, base, cutoff, tol):
+            r = residual(base, cl.points)
+            norm = float(np.linalg.norm(r))
+            out.append(ClassCheck(
+                tuple(base.tolist()), cl.distance, cl.size, tuple(r.tolist()), norm, norm <= tol.residual_tol
+            ))
+    return out
+
+
+def _depth4_tiling():
+    params = RotationTilingParams(math.radians(30), math.radians(40), math.radians(50), 3, 4)
+    return gen_hyp_rotation_tiling(params, RotationTilingFlags(True, True, True, True))
+
+
+class TestColumnarReportOracle:
+    """Every ClassCheck and every reduction of a report against per-base
+    enumeration through distance_classes and per-class residual sums."""
+
+    def _assert_matches(self, report, c, bases, tol, residual):
+        expected = _oracle_checks(c, bases, report.cutoff, tol, residual)
+        assert list(report.checks) == expected
+        assert len(report.checks) == len(expected)
+        assert report.passed is all(ch.passed for ch in expected)
+        assert report.worst_residual == max((ch.residual_norm for ch in expected), default=0.0)
+        assert type(report.worst_residual) is float
+        failing = [(ch.base, ch.distance) for ch in expected if not ch.passed]
+        assert report.failing == failing
+        assert report.summary() == {
+            "passed": all(ch.passed for ch in expected),
+            "verified_points": len(bases),
+            "classes_checked": len(expected),
+            "cutoff": report.cutoff,
+            "residual_tol": tol.residual_tol,
+            "worst_residual": report.worst_residual,
+            "failing": [{"base": list(b), "distance": d} for b, d in failing],
+            "notes": report.notes,
+        }
+
+    def test_grid_40(self):
+        xs = np.arange(40.0)
+        c = FinitePointSet("plane", np.array([(x, y) for x in xs for y in xs]))
+        report = verify_plane(c)
+        # the window is the square, so the verified points lie 6 steps inside it
+        inner = c.points[((c.points >= 6.0) & (c.points <= 33.0)).all(axis=1)]
+        assert len(inner) == 28 * 28
+        self._assert_matches(report, c, inner, DEFAULT_TOL, _plane_residual)
+        assert report.passed
+
+    @pytest.mark.parametrize("kind", ["ngon(12)", "icosahedron"])
+    @pytest.mark.parametrize("mode", ["scalar_multiple", "tangent_projection"])
+    def test_sphere_sets(self, kind, mode):
+        for bits in ((True, False, False), (True, True, True)):
+            c = gen_sphere(kind, SubsetFlags(*bits))
+            report = verify_sphere(c, mode=mode)
+            self._assert_matches(report, c, c.points, DEFAULT_TOL, _sphere_residual(mode))
+
+    def test_rotation_tiling_patch(self):
+        c = _depth4_tiling()
+        tol = Tolerance(class_tol=1e-6, residual_tol=1e-8, dedup_tol=1e-9)
+        report = verify_hyperbolic(c, VerifyParams(max_radius=1.0, tol=tol))
+        bases = np.array([p for p in c.points if c.verifiable_radius(p) >= 1.0 - 1e-12])
+        self._assert_matches(report, c, bases, tol, _disk_residual)
+        assert report.passed
+
+    def test_displaced_point_control(self):
+        c = _depth4_tiling()
+        moved = np.array(c.points)
+        moved[np.argmin(c.center_dists()) + 7] += 1e-3 * np.array([math.cos(0.3), math.sin(0.3)])
+        control = PatchConfig(moved, c.patch_radius)
+        tol = Tolerance(class_tol=1e-8, residual_tol=1e-8, dedup_tol=1e-9)
+        report = verify_hyperbolic(control, VerifyParams(max_radius=1.0, tol=tol))
+        bases = np.array([p for p in moved if control.verifiable_radius(p) >= 1.0 - 1e-12])
+        self._assert_matches(report, control, bases, tol, _disk_residual)
+        assert not report.passed and len(report.failing) > 0
+
+
+class TestChecksView:
+    def test_sequence_behaviour(self):
+        report = verify_plane(gen_triangular(1.0), VerifyParams(max_radius=2.0))
+        checks = report.checks
+        built = list(checks)
+        assert isinstance(checks, Sequence)
+        assert len(checks) == 3 and [ch.size for ch in built] == [6, 6, 6]
+        assert checks == built and checks == report.checks and checks != built[:2]
+        assert checks[0] == built[0] and checks[-1] == built[2] and checks[-3] == built[0]
+        for bad in (3, -4):
+            with pytest.raises(IndexError):
+                checks[bad]
+        assert checks[1:] == built[1:] and checks[::-1] == built[::-1] and checks[5:] == []
+        assert isinstance(checks[:2], list)
+        assert not hasattr(checks, "append")
+
+    def test_empty_report(self):
+        report = verify_plane(gen_line(6, 1.0), VerifyParams(max_radius=3.0))
+        assert len(report.checks) == 0 and report.checks == [] and list(report.checks) == []
+        assert report.passed and report.worst_residual == 0.0 and report.failing == []
+
+
+class TestNaNResidual:
+    def _report(self, residual):
+        return BalanceReport(
+            np.array([(0.0, 0.0), (1.0, 0.0)]),
+            np.array([0, 1, 1]),
+            np.array([1.0, 1.0, 2.0]),
+            np.array([4, 4, 2]),
+            np.array(residual),
+            cutoff=2.0,
+            residual_tol=1e-9,
+        )
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_nan_class_fails_and_is_listed(self, where):
+        residual = [[0.0, 0.0], [1e-12, 0.0], [0.0, -1e-12]]
+        residual[where][1] = math.nan
+        report = self._report(residual)
+        assert report.passed is False
+        failing = [((0.0, 0.0), 1.0), ((1.0, 0.0), 1.0), ((1.0, 0.0), 2.0)][where]
+        assert report.failing == [failing]
+        assert [ch.passed for ch in report.checks] == [i != where for i in range(3)]
+        # the worst residual is NaN wherever the NaN class sits
+        assert math.isnan(report.worst_residual)
+        assert report.summary()["failing"] == [{"base": list(failing[0]), "distance": failing[1]}]
