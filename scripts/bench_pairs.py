@@ -1,17 +1,18 @@
 """Paired benchmark runs of two commits, written as one BENCH_<n>.json.
 
     python3 scripts/bench_pairs.py --parent REV [--change REV] --out BENCH_8.json \
-        [--title TEXT] [--workloads hyp-tiling,planar-catalog] \
-        [--seeds 1,2,3,4,5,6,7,8,9,10,1009] [--seconds 55] [--batches 1]
+        [--title TEXT] [--batches 2]
 
 Run from the root of a git checkout.  Each side runs from its own copy of
 its commit's tracked files (``git archive``) in a temporary directory, so the
 checkout itself is never written to, apart from the output file.  For every
-batch, workload and seed the two sides run ``perfbench/run.py --trace 0``
-back to back with PYTHONDONTWRITEBYTECODE=1; the side that runs first
-alternates along the seeds and flips from one batch to the next.  The output file is
-rewritten after every pair, so an interrupted batch keeps the pairs already
-run.
+batch, every workload of BENCHMARK.json and every seed (1-10 and the
+held-out 1009), the two sides run ``perfbench/run.py --trace 0`` for the
+benchmark's ``run_seconds``, back to back, with PYTHONDONTWRITEBYTECODE=1.
+The side that runs first alternates along the seeds and flips from one
+batch to the next, so two batches run every seed once in each order.  The
+output file is rewritten after every pair, so an interrupted batch keeps
+the pairs already run.
 
 The file holds every pair's metrics, and per workload and end-to-end metric
 (as BENCHMARK.json declares them) each side's median and quartiles
@@ -33,6 +34,7 @@ import tarfile
 import tempfile
 
 SIDES = ("parent", "change")
+SEEDS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 1009)
 
 
 def parse_args(argv):
@@ -41,10 +43,7 @@ def parse_args(argv):
     parser.add_argument("--change", default="HEAD", help="commit of the change side (default HEAD)")
     parser.add_argument("--out", required=True, help="output path, e.g. BENCH_8.json")
     parser.add_argument("--title", default="", help="one-line description stored in the file")
-    parser.add_argument("--workloads", default="hyp-tiling,planar-catalog")
-    parser.add_argument("--seeds", default="1,2,3,4,5,6,7,8,9,10,1009")
-    parser.add_argument("--seconds", type=float, default=55.0)
-    parser.add_argument("--batches", type=int, default=1, help="pairs per (workload, seed)")
+    parser.add_argument("--batches", type=int, default=2, help="pairs per (workload, seed)")
     return parser.parse_args(argv)
 
 
@@ -104,19 +103,20 @@ def summarize(pairs, metrics):
 def main(argv=None):
     args = parse_args(argv)
     with open("BENCHMARK.json", encoding="utf-8") as fh:
-        metrics = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    workloads = args.workloads.split(",")
-    seeds = [int(s) for s in args.seeds.split(",")]
+        bench = json.load(fh)
+    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     revs = {side: subprocess.run(["git", "rev-parse", "--short", rev], check=True, capture_output=True,
                                  text=True).stdout.strip()
             for side, rev in (("parent", args.parent), ("change", args.change))}
     doc = {
         "title": args.title or f"parent {revs['parent']} vs change {revs['change']}",
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "method": (
             f"PYTHONDONTWRITEBYTECODE=1; each side from its own git archive copy "
             f"(parent {revs['parent']}, change {revs['change']}) in a temporary directory. "
-            f"{args.batches} pair(s) per (workload, seed), seeds {args.seeds}; the two runs of a pair "
+            f"{args.batches} pair(s) per (workload, seed), seeds {', '.join(map(str, SEEDS))}; the two runs of a pair "
             "run back to back; the side that runs first alternates along the seeds and flips "
             "from one batch to the next. "
             "Quartiles by linear interpolation; 'wins' counts pairs where the change is better "
@@ -131,13 +131,13 @@ def main(argv=None):
             export(revs[side], roots[side])
         for batch in range(args.batches):
             for w, workload in enumerate(workloads):
-                for i, seed in enumerate(seeds):
+                for i, seed in enumerate(SEEDS):
                     # alternate along the seeds, and flip every seed's order
                     # from one batch to the next
                     first = SIDES[(batch + w + i) % 2]
                     pair = {"batch": chr(ord("a") + batch), "seed": seed, "first": first}
                     for side in (first, SIDES[1 - SIDES.index(first)]):
-                        pair[side], doc["machine"]["env"] = run_side(roots[side], workload, seed, args.seconds)
+                        pair[side], doc["machine"]["env"] = run_side(roots[side], workload, seed, seconds)
                     entry = doc["workloads"][workload]
                     entry["pairs"].append(pair)
                     entry["summary"] = summarize(entry["pairs"], metrics)
