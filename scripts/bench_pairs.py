@@ -1,16 +1,15 @@
 """Paired benchmark runs of two commits, written as one BENCH_<n>.json.
 
-    python3 scripts/bench_pairs.py --parent REV [--change REV] --out BENCH_8.json \
-        [--title TEXT] [--batches 2]
+    python3 scripts/bench_pairs.py --parent REV [--change REV] --out BENCH_8.json
 
 Run from the root of a git checkout.  Each side runs from its own copy of
 its commit's tracked files (``git archive``) in a temporary directory, so the
-checkout itself is never written to, apart from the output file.  For every
-batch, every workload of BENCHMARK.json and every seed (1-10 and the
+checkout itself is never written to, apart from the output file.  For each of
+the two batches, every workload of BENCHMARK.json and every seed (1-10 and the
 held-out 1009), the two sides run ``perfbench/run.py --trace 0`` for the
 benchmark's ``run_seconds``, back to back, with PYTHONDONTWRITEBYTECODE=1.
 The side that runs first alternates along the seeds and flips from one
-batch to the next, so two batches run every seed once in each order.  The
+batch to the next, so every seed runs once in each order.  The
 output file is rewritten after every pair, so an interrupted batch keeps
 the pairs already run.
 
@@ -35,6 +34,9 @@ import tempfile
 
 SIDES = ("parent", "change")
 SEEDS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 1009)
+# two batches with the order flipped between them run every seed once in
+# each order
+BATCHES = 2
 
 
 def parse_args(argv):
@@ -42,8 +44,6 @@ def parse_args(argv):
     parser.add_argument("--parent", required=True, help="commit of the parent side")
     parser.add_argument("--change", default="HEAD", help="commit of the change side (default HEAD)")
     parser.add_argument("--out", required=True, help="output path, e.g. BENCH_8.json")
-    parser.add_argument("--title", default="", help="one-line description stored in the file")
-    parser.add_argument("--batches", type=int, default=2, help="pairs per (workload, seed)")
     return parser.parse_args(argv)
 
 
@@ -111,12 +111,12 @@ def main(argv=None):
                                  text=True).stdout.strip()
             for side, rev in (("parent", args.parent), ("change", args.change))}
     doc = {
-        "title": args.title or f"parent {revs['parent']} vs change {revs['change']}",
+        "title": f"parent {revs['parent']} vs change {revs['change']}",
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "method": (
             f"PYTHONDONTWRITEBYTECODE=1; each side from its own git archive copy "
             f"(parent {revs['parent']}, change {revs['change']}) in a temporary directory. "
-            f"{args.batches} pair(s) per (workload, seed), seeds {', '.join(map(str, SEEDS))}; the two runs of a pair "
+            f"{BATCHES} pairs per (workload, seed), seeds {', '.join(map(str, SEEDS))}; the two runs of a pair "
             "run back to back; the side that runs first alternates along the seeds and flips "
             "from one batch to the next. "
             "Quartiles by linear interpolation; 'wins' counts pairs where the change is better "
@@ -129,7 +129,7 @@ def main(argv=None):
         roots = {side: os.path.join(tmp, side) for side in SIDES}
         for side in SIDES:
             export(revs[side], roots[side])
-        for batch in range(args.batches):
+        for batch in range(BATCHES):
             for w, workload in enumerate(workloads):
                 for i, seed in enumerate(SEEDS):
                     # alternate along the seeds, and flip every seed's order
@@ -145,9 +145,8 @@ def main(argv=None):
                     with open(args.out, "w", encoding="utf-8") as fh:
                         json.dump(doc, fh, indent=1)
                         fh.write("\n")
-                    print(f"{workload} seed {seed} ({first} first): cli.verify_s "
-                          f"{pair['parent']['metrics']['cli.verify_s']:.3f} -> "
-                          f"{pair['change']['metrics']['cli.verify_s']:.3f}", file=sys.stderr, flush=True)
+                    print(f"{workload} batch {pair['batch']} seed {seed} ({first} first): "
+                          f"{len(entry['pairs'])} pair(s) written", file=sys.stderr, flush=True)
     return 0
 
 

@@ -508,13 +508,22 @@ class TestMinDistanceProperty:
         assert np.linalg.norm(p - q) == pytest.approx(out["min_d"], abs=1e-12)
 
 
+def _depth4_tiling():
+    params = RotationTilingParams(math.radians(30), math.radians(40), math.radians(50), 3, 4)
+    return gen_hyp_rotation_tiling(params, RotationTilingFlags(True, True, True, True))
+
+
+def _displaced(c):
+    """The patch c with one point near its centre moved by 1e-3: a control
+    that must fail."""
+    moved = np.array(c.points)
+    moved[np.argmin(c.center_dists()) + 7] += 1e-3 * np.array([math.cos(0.3), math.sin(0.3)])
+    return PatchConfig(moved, c.patch_radius, labels=c.labels)
+
+
 class TestGoldenReports:
     """CLI verify stdout pinned by sha256: the report's JSON text must stay
     byte-for-byte the same whatever holds the per-class results."""
-
-    def _tiling(self):
-        params = RotationTilingParams(math.radians(30), math.radians(40), math.radians(50), 3, 4)
-        return gen_hyp_rotation_tiling(params, RotationTilingFlags(True, True, True, True))
 
     def _verify_sha(self, capsys, tmp_path, config, *flags):
         path = tmp_path / "config.json"
@@ -523,16 +532,12 @@ class TestGoldenReports:
         return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
     def test_depth4_tiling(self, capsys, tmp_path):
-        got = self._verify_sha(capsys, tmp_path, self._tiling(), "--max-radius", "1.5", "--residual-tol", "1e-8")
+        got = self._verify_sha(capsys, tmp_path, _depth4_tiling(), "--max-radius", "1.5", "--residual-tol", "1e-8")
         assert got == (0, "d24eaa8b96c7de4bf160f59c9fb0da51782f8d0b64f4608d0e8b4ea53c603919")
 
     def test_depth4_tiling_displaced_control(self, capsys, tmp_path):
-        c = self._tiling()
-        moved = np.array(c.points)
-        moved[np.argmin(c.center_dists()) + 7] += 1e-3 * np.array([math.cos(0.3), math.sin(0.3)])
-        control = PatchConfig(moved, c.patch_radius, labels=c.labels)
         got = self._verify_sha(
-            capsys, tmp_path, control, "--max-radius", "1.5", "--residual-tol", "1e-8", "--class-tol", "1e-8"
+            capsys, tmp_path, _displaced(_depth4_tiling()), "--max-radius", "1.5", "--residual-tol", "1e-8", "--class-tol", "1e-8"
         )
         assert got == (1, "d31fffb337faa7121361b8340c89d714152bf67a0a12054889f6f53bb363ee24")
 
@@ -589,11 +594,6 @@ def _oracle_checks(c, bases, cutoff, tol, residual):
     return out
 
 
-def _depth4_tiling():
-    params = RotationTilingParams(math.radians(30), math.radians(40), math.radians(50), 3, 4)
-    return gen_hyp_rotation_tiling(params, RotationTilingFlags(True, True, True, True))
-
-
 class TestColumnarReportOracle:
     """Every ClassCheck and every reduction of a report against per-base
     enumeration through distance_classes and per-class residual sums."""
@@ -645,13 +645,10 @@ class TestColumnarReportOracle:
         assert report.passed
 
     def test_displaced_point_control(self):
-        c = _depth4_tiling()
-        moved = np.array(c.points)
-        moved[np.argmin(c.center_dists()) + 7] += 1e-3 * np.array([math.cos(0.3), math.sin(0.3)])
-        control = PatchConfig(moved, c.patch_radius)
+        control = _displaced(_depth4_tiling())
         tol = Tolerance(class_tol=1e-8, residual_tol=1e-8, dedup_tol=1e-9)
         report = verify_hyperbolic(control, VerifyParams(max_radius=1.0, tol=tol))
-        bases = np.array([p for p in moved if control.verifiable_radius(p) >= 1.0 - 1e-12])
+        bases = np.array([p for p in control.points if control.verifiable_radius(p) >= 1.0 - 1e-12])
         self._assert_matches(report, control, bases, tol, _disk_residual)
         assert not report.passed and len(report.failing) > 0
 
