@@ -4,8 +4,9 @@ Subcommands: generate, verify, classify, symmetry, lemmas, render.  Machine
 reports are JSON on stdout with a stable shape {tool_version, params,
 verdict, details}; a short human-readable summary goes to stderr.  Exit
 codes: 0 success or positive verdict, 1 negative verdict (balance failure,
-Unknown class, refuted group-balance), 2 input or usage error, 3 internal
-numeric error.
+Unknown class, refuted group-balance), 2 a typed refusal of the input or the
+flags (see _REFUSALS) or an argparse usage error, 3 a numeric or internal
+failure (any other exception).
 """
 from __future__ import annotations
 
@@ -20,7 +21,15 @@ from . import __version__
 from .classify import UNKNOWN, classify, is_group_balanced, rotation_symmetries_about
 from .configs import FinitePointSet, PatchConfig, PeriodicConfig
 from .docio import document_from, parse_config, serialize, to_runtime
-from .errors import AmbiguousClassError, InsufficientPatchError, ValidationError
+from .errors import (
+    AmbiguousClassError,
+    InsufficientPatchError,
+    InvalidPointError,
+    NoPairsError,
+    ParameterDomainError,
+    RenderError,
+    ValidationError,
+)
 from .generators import (
     RotationTilingFlags,
     RotationTilingParams,
@@ -35,7 +44,7 @@ from .generators import (
     gen_sphere,
     gen_triangular,
 )
-from .inequalities import check_angle_bound_60_90, run_catalog
+from .inequalities import SWEEP_MIN_SAMPLES, check_angle_bound_60_90, run_catalog
 from .render import RenderStyle, render_svg
 from .verify import VerifyParams, verify_hyperbolic, verify_plane, verify_sphere
 from .geometry import Tolerance
@@ -57,35 +66,42 @@ def _parse_sets(raw, names, flags_cls):
         if not token:
             continue
         if token not in names:
-            raise ValueError(
-                f"unknown set {token!r}; expected one of {', '.join(sorted(names))}"
+            raise ValidationError(
+                f"unknown set {token!r}; expected one of {', '.join(sorted(names))}",
+                field="--sets",
             )
         chosen[names[token]] = True
     if not chosen:
-        raise ValueError("at least one set must be selected")
+        raise ValidationError("at least one set must be selected", field="--sets")
     return flags_cls(**{f: chosen.get(f, False) for f in flags_cls.__dataclass_fields__})
 
 
-def _parse_pair_list(raw, what, count):
+def _parse_pair_list(raw, flag, count):
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != count:
-        raise ValueError(f"{what} must have {count} comma-separated values")
-    return [float(p) for p in parts]
+        raise ValidationError(f"{flag} must have {count} comma-separated values", field=flag)
+    try:
+        return [float(p) for p in parts]
+    except ValueError:
+        raise ValidationError(f"{flag} values must be numbers, got {raw!r}", field=flag) from None
 
 
 def _parse_basis(raw):
     rows = raw.split(";")
     if len(rows) != 2:
-        raise ValueError("basis must be 'ax,ay;bx,by'")
-    return [_parse_pair_list(r, "basis row", 2) for r in rows]
+        raise ValidationError("--basis must be 'ax,ay;bx,by'", field="--basis")
+    return [_parse_pair_list(r, "--basis", 2) for r in rows]
 
 
 def _write_text(path, text):
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}", field="--output")
 
 
 def _read_config(path):
@@ -97,6 +113,14 @@ def _read_config(path):
             return to_runtime(parse_config(fh.read()))
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}", field="input")
+
+
+def _read_planar(path, command):
+    """The configuration of the document at path, refused unless planar."""
+    config = _read_config(path)
+    if not (isinstance(config, PeriodicConfig) or (isinstance(config, FinitePointSet) and config.space == "plane")):
+        raise ValidationError(f"{command} requires a euclidean2 document", field="space")
+    return config
 
 
 def _emit_report(args, verdict, details):
@@ -139,7 +163,10 @@ def _cmd_generate(args):
     elif family == "lattice":
         flags = _parse_sets(args.sets, _SUBSET_NAMES, SubsetFlags)
         v1, v2 = _parse_basis(args.basis)
-        config = gen_lattice(v1, v2, flags)
+        try:
+            config = gen_lattice(v1, v2, flags)
+        except InvalidPointError as exc:
+            raise ValidationError(f"--basis: {exc}", field="--basis") from exc
     elif family == "hexagonal":
         flags = _parse_sets(args.sets, _SUBSET_NAMES, SubsetFlags)
         config = gen_hexagonal(args.side, flags)
@@ -151,7 +178,10 @@ def _cmd_generate(args):
         meta["kind"] = args.kind
     elif family == "triangle-group":
         flags = _parse_sets(args.sets, _TG_NAMES, TriangleGroupFlags)
-        p, q, r = (int(x) for x in _parse_pair_list(args.pqr, "--pqr", 3))
+        pqr = _parse_pair_list(args.pqr, "--pqr", 3)
+        if not all(x.is_integer() for x in pqr):
+            raise ValidationError(f"--pqr must be three integers, got {args.pqr!r}", field="--pqr")
+        p, q, r = (int(x) for x in pqr)
         config = gen_hyp_triangle_group(TriangleGroupParams(p, q, r, args.depth), flags)
         meta["pqr"] = args.pqr
         meta["depth"] = str(args.depth)
@@ -214,7 +244,7 @@ def _cmd_verify(args):
 
 
 def _cmd_classify(args):
-    result = classify(_read_config(args.input), tol=_tolerance(args))
+    result = classify(_read_planar(args.input, "classify"), tol=_tolerance(args))
     details = {
         "tag": result.tag,
         "canonical_params": {k: v for k, v in result.canonical_params.items()},
@@ -225,7 +255,7 @@ def _cmd_classify(args):
 
 
 def _cmd_symmetry(args):
-    config = _read_config(args.input)
+    config = _read_planar(args.input, "symmetry")
     tol = _tolerance(args)
     result = is_group_balanced(config, tol=tol)
     witnesses = [
@@ -248,6 +278,8 @@ def _cmd_symmetry(args):
 
 
 def _cmd_lemmas(args):
+    if args.samples < SWEEP_MIN_SAMPLES:
+        raise ValidationError(f"--samples must be at least {SWEEP_MIN_SAMPLES}", field="--samples")
     results = run_catalog(match_tol=args.match_tol)
     sweep_ok = check_angle_bound_60_90(args.samples)
     all_ok = sweep_ok and all(r.passed for r in results)
@@ -371,15 +403,23 @@ def build_parser():
     return parser
 
 
+# typed refusals of the input or the flags, which exit 2; every other
+# exception is a numeric or internal failure and exits 3
+_REFUSALS = (
+    ValidationError,
+    ParameterDomainError,
+    InsufficientPatchError,
+    NoPairsError,
+    RenderError,
+)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, InsufficientPatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except _REFUSALS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AmbiguousClassError as exc:

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .configs import FinitePointSet, PatchConfig, PeriodicConfig
-from .errors import ValidationError
+from .errors import InvalidPointError, ValidationError
 
 SPACES = ("euclidean2", "sphere2", "hyperbolic2")
 KINDS = ("finite", "periodic", "patch")
@@ -284,13 +284,20 @@ def serialize(doc):
 
 
 def to_runtime(doc):
-    """Build the runtime configuration object for a parsed document."""
+    """Build the runtime configuration object for a parsed document.
+
+    The container's own checks that parse_config does not make (motif points
+    distinct modulo the lattice) raise ValidationError.
+    """
     labels = doc.labels
-    if doc.kind == "periodic":
-        return PeriodicConfig(doc.basis, doc.points, labels=labels)
-    if doc.kind == "patch":
-        return PatchConfig(doc.points, doc.patch_radius, labels=labels)
-    return FinitePointSet(_RUNTIME_SPACE[doc.space], doc.points, labels=labels)
+    try:
+        if doc.kind == "periodic":
+            return PeriodicConfig(doc.basis, doc.points, labels=labels)
+        if doc.kind == "patch":
+            return PatchConfig(doc.points, doc.patch_radius, labels=labels)
+        return FinitePointSet(_RUNTIME_SPACE[doc.space], doc.points, labels=labels)
+    except InvalidPointError as exc:
+        raise ValidationError(str(exc), field="motif" if doc.kind == "periodic" else "points") from exc
 
 
 def document_from(config, metadata=None):

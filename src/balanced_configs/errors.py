@@ -26,7 +26,9 @@ class InsufficientPatchError(Exception):
 
 
 class ParameterDomainError(ValueError):
-    """Tiling parameters fall outside the hyperbolic regime."""
+    """Parameters fall outside their domain: a generator's size, count, kind or
+    flags, hyperbolic tiling parameters outside the hyperbolic regime, or a
+    tolerance or verification cutoff that is not positive."""
 
 
 class SceneError(RuntimeError):

@@ -58,7 +58,7 @@ class SubsetFlags:
 
     def __post_init__(self):
         if not (self.vertices or self.edge_midpoints or self.face_centers):
-            raise ValueError("at least one subset flag must be set")
+            raise ParameterDomainError("at least one subset flag must be set")
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class TriangleGroupFlags:
 
     def __post_init__(self):
         if not (self.p_centers or self.q_centers or self.r_centers):
-            raise ValueError("at least one vertex-type flag must be set")
+            raise ParameterDomainError("at least one vertex-type flag must be set")
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class RotationTilingFlags:
 
     def __post_init__(self):
         if not (self.vertices or self.mid_ab or self.mid_ac or self.mid_bc):
-            raise ValueError("at least one flag must be set")
+            raise ParameterDomainError("at least one flag must be set")
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,9 @@ class TriangleGroupParams:
         for name in ("p", "q", "r"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 2:
-                raise ValueError(f"{name} must be an integer >= 2")
+                raise ParameterDomainError(f"{name} must be an integer >= 2")
         if not isinstance(self.depth, int) or self.depth < 0:
-            raise ValueError("depth must be a nonnegative integer")
+            raise ParameterDomainError("depth must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ class RotationTilingParams:
         if not isinstance(self.m, int) or self.m < 3:
             raise ParameterDomainError("m must be an integer >= 3")
         if not isinstance(self.depth, int) or self.depth < 0:
-            raise ValueError("depth must be a nonnegative integer")
+            raise ParameterDomainError("depth must be a nonnegative integer")
         if min(self.alpha, self.beta, self.gamma) <= 0.0:
             raise ParameterDomainError("all three angles must be positive")
         if abs(self.alpha + self.beta + self.gamma - 2.0 * math.pi / self.m) > 1e-12:
@@ -151,7 +151,7 @@ def gen_lattice(v1, v2, flags):
 def gen_triangular(side):
     """Vertices of the edge-to-edge equilateral triangle tiling."""
     if not (side > 0.0):
-        raise ValueError("side must be positive")
+        raise ParameterDomainError("side must be positive")
     basis = np.array([[side, 0.0], [side / 2.0, side * _SQRT3 / 2.0]])
     return PeriodicConfig(basis, np.array([[0.0, 0.0]]), labels=("vertex",))
 
@@ -164,7 +164,7 @@ def gen_hexagonal(side, flags):
     assembles whichever of those sets are selected.
     """
     if not (side > 0.0):
-        raise ValueError("side must be positive")
+        raise ParameterDomainError("side must be positive")
     s = float(side)
     basis = np.array([[_SQRT3 * s, 0.0], [_SQRT3 * s / 2.0, 1.5 * s]])
     third = 1.0 / 3.0
@@ -185,9 +185,9 @@ def gen_hexagonal(side, flags):
 def gen_line(n, spacing):
     """n evenly spaced collinear points on the x-axis, centered at the origin."""
     if not isinstance(n, int) or n < 3:
-        raise ValueError("n must be an integer >= 3")
+        raise ParameterDomainError("n must be an integer >= 3")
     if not (spacing > 0.0):
-        raise ValueError("spacing must be positive")
+        raise ParameterDomainError("spacing must be positive")
     xs = (np.arange(n) - (n - 1) / 2.0) * spacing
     pts = np.column_stack([xs, np.zeros(n)])
     return FinitePointSet("plane", pts, labels=("vertex",) * n)
@@ -218,7 +218,7 @@ def _platonic_vertices(kind):
             for s2 in (-1, 1):
                 raw += [(0, s1 * inv, s2 * _PHI), (s1 * inv, s2 * _PHI, 0), (s1 * _PHI, 0, s2 * inv)]
     else:
-        raise ValueError(f"unknown sphere tiling kind {kind!r}")
+        raise ParameterDomainError(f"unknown sphere tiling kind {kind!r}")
     pts = np.array(raw, dtype=float)
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
@@ -266,7 +266,7 @@ def parse_sphere_kind(kind):
         try:
             return "ngon", int(rest)
         except ValueError:
-            raise ValueError(f"malformed ngon kind {kind!r}; expected ngon(n)")
+            raise ParameterDomainError(f"malformed ngon kind {kind!r}; expected ngon(n)")
     return kind, None
 
 
@@ -285,7 +285,7 @@ def gen_sphere(kind, flags, n=None):
     labels = []
     if name == "ngon":
         if n is None or not isinstance(n, int) or n < 2:
-            raise ValueError("ngon requires an integer vertex count n >= 2")
+            raise ParameterDomainError("ngon requires an integer vertex count n >= 2")
         angles = 2.0 * math.pi * np.arange(n) / n
         ring = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(n)])
         if flags.vertices:
@@ -483,12 +483,13 @@ def gen_hyp_triangle_group(params, flags):
     present.  Points beyond patch_radius are genuine tiling points but carry
     no completeness guarantee.
     """
-    if 1.0 / params.p + 1.0 / params.q + 1.0 / params.r >= 1.0:
+    p, q, r = params.p, params.q, params.r
+    if q * r + p * r + p * q >= p * q * r:  # 1/p + 1/q + 1/r >= 1, in exact integers
         raise ParameterDomainError(
             "triangle group requires 1/p + 1/q + 1/r < 1; "
-            f"got ({params.p}, {params.q}, {params.r})"
+            f"got ({p}, {q}, {r})"
         )
-    tiling = _build_triangle_group(params.p, params.q, params.r, params.depth)
+    tiling = _build_triangle_group(p, q, r, params.depth)
     selected = set()
     if flags.p_centers:
         selected.add("p")

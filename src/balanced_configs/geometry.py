@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPointError
+from .errors import InvalidPointError, ParameterDomainError
 
 UNIT_NORM_TOL = 1e-9
 
@@ -29,9 +29,9 @@ class Tolerance:
 
     def __post_init__(self):
         if not (0.0 < self.dedup_tol < self.class_tol):
-            raise ValueError("tolerances must satisfy 0 < dedup_tol < class_tol")
+            raise ParameterDomainError("tolerances must satisfy 0 < dedup_tol < class_tol")
         if self.residual_tol <= 0.0:
-            raise ValueError("residual_tol must be positive")
+            raise ParameterDomainError("residual_tol must be positive")
 
 
 DEFAULT_TOL = Tolerance()

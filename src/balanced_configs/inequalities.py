@@ -378,12 +378,15 @@ def greedy_bisector_sum(gap_deg):
     return s + last
 
 
+SWEEP_MIN_SAMPLES = 100
+
+
 def check_angle_bound_60_90(samples):
     """Sweep gap angles from 90 to 150 degrees and confirm the greedy sum is
     always negative, so no balanced point can have a neighbor gap of 90
     degrees or more."""
-    if samples < 100:
-        raise ValueError("at least 100 samples are required")
+    if samples < SWEEP_MIN_SAMPLES:
+        raise ValueError(f"at least {SWEEP_MIN_SAMPLES} samples are required")
     for i in range(samples):
         gap = 90.0 + 60.0 * i / (samples - 1)
         if greedy_bisector_sum(gap) >= 0.0:

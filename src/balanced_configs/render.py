@@ -1,8 +1,10 @@
 """Deterministic SVG figures for planar and disk configurations.
 
-Marker shape and color are assigned per label class (circle, square, diamond,
-then triangle), matching the visual convention of drawing lattice vertices,
-edge midpoints, and face centers distinctly.  Output is plain SVG 1.1 text;
+Markers are drawn in a fixed order: sorted by label, then x, then y, with
+ties in input order.  Label classes, in sorted order, take the marker shapes
+circle, square, diamond and triangle and a palette of six colours, each
+cycling, matching the visual convention of drawing lattice vertices, edge
+midpoints, and face centers distinctly.  Output is plain SVG 1.1 text;
 rendering the same configuration twice yields byte-identical documents.
 """
 from __future__ import annotations
@@ -15,7 +17,16 @@ import numpy as np
 from .configs import FinitePointSet, PatchConfig, PeriodicConfig
 from .errors import RenderError
 
-_SHAPES = ("circle", "square", "diamond", "triangle")
+# per shape: the marker text, %-formatted from the columns that its function
+# makes of the pixel centres x, y and the marker radius r
+_SHAPES = (
+    ('<circle cx="%.3f" cy="%.3f" r="{r:.3f}" fill="{c}"/>', lambda x, y, r: (x, y)),
+    ('<rect x="%.3f" y="%.3f" width="{d:.3f}" height="{d:.3f}" fill="{c}"/>', lambda x, y, r: (x - r, y - r)),
+    ('<polygon points="%.3f,%.3f %.3f,%.3f %.3f,%.3f %.3f,%.3f" fill="{c}"/>',
+     lambda x, y, r: (x, y - r, x + r, y, x, y + r, x - r, y)),
+    ('<polygon points="%.3f,%.3f %.3f,%.3f %.3f,%.3f" fill="{c}"/>',
+     lambda x, y, r: (x, y - r, x + r, y + r, x - r, y + r)),
+)
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
@@ -36,7 +47,8 @@ class RenderStyle:
 
     window is ((xmin, xmax), (ymin, ymax)) in geometry units; it is required
     for periodic configurations and defaults to a padded bounding box (or the
-    unit disk) otherwise.  size is the longest SVG side in pixels.
+    unit disk) otherwise.  Its bounds and extents must be finite and its
+    extents positive.  size is the longest SVG side in pixels.
     """
 
     window: tuple | None = None
@@ -47,81 +59,63 @@ class RenderStyle:
     def resolved_window(self, config):
         if self.window is not None:
             (x0, x1), (y0, y1) = self.window
-            if not (x1 > x0 and y1 > y0):
-                raise RenderError("render window must have positive extent")
-            return (float(x0), float(x1)), (float(y0), float(y1))
-        if isinstance(config, PeriodicConfig):
+        elif isinstance(config, PeriodicConfig):
             raise RenderError("periodic configurations require an explicit render window")
-        if isinstance(config, PatchConfig) or config.space == "disk":
-            return (-1.05, 1.05), (-1.05, 1.05)
-        pts = np.asarray(config.points, dtype=float)
-        margin = 0.05 * max(
-            pts[:, 0].max() - pts[:, 0].min(), pts[:, 1].max() - pts[:, 1].min(), 1.0
-        )
-        return (
-            (float(pts[:, 0].min() - margin), float(pts[:, 0].max() + margin)),
-            (float(pts[:, 1].min() - margin), float(pts[:, 1].max() + margin)),
-        )
+        elif isinstance(config, PatchConfig) or config.space == "disk":
+            (x0, x1), (y0, y1) = (-1.05, 1.05), (-1.05, 1.05)
+        else:
+            pts = np.asarray(config.points, dtype=float)[:, :2]
+            lo, hi = pts.min(axis=0), pts.max(axis=0)
+            margin = 0.05 * max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
+            (x0, y0), (x1, y1) = lo - margin, hi + margin
+        x0, x1, y0, y1 = map(float, (x0, x1, y0, y1))
+        if not all(map(math.isfinite, (x0, x1, y0, y1, x1 - x0, y1 - y0))):
+            raise RenderError("render window bounds and extents must be finite")
+        if not (x1 > x0 and y1 > y0):
+            raise RenderError("render window must have positive extent")
+        return (x0, x1), (y0, y1)
 
 
 def _gather(config, window):
-    """Points (with labels) falling inside the window, in a canonical order."""
+    """x, y and label-class code of the points inside the window, sorted by
+    class, x and y (ties in input order), and the sorted class names."""
     (x0, x1), (y0, y1) = window
     if isinstance(config, PeriodicConfig):
-        cart = config.cartesian_motif()
-        labels = config.labels or tuple("point" for _ in range(config.k))
         center = np.array([(x0 + x1) / 2.0, (y0 + y1) / 2.0])
         radius = 0.5 * math.hypot(x1 - x0, y1 - y0)
-        out = []
-        for p, lab in zip(cart, labels):
-            trans = _translate_box(config.basis, p - center, radius, pad=1)
-            pts = p + trans @ config.basis
-            keep = (
-                (pts[:, 0] >= x0) & (pts[:, 0] <= x1) & (pts[:, 1] >= y0) & (pts[:, 1] <= y1)
-            )
-            out.extend((float(q[0]), float(q[1]), lab) for q in pts[keep])
+        boxes = [
+            p + _translate_box(config.basis, p - center, radius, pad=1) @ config.basis
+            for p in config.cartesian_motif()
+        ]
+        pts = np.concatenate(boxes)
+        labels = np.repeat(
+            np.asarray(config.labels or ("point",) * config.k), [len(b) for b in boxes]
+        )
     else:
         if isinstance(config, FinitePointSet) and config.space == "sphere":
             raise RenderError("sphere configurations are not renderable as flat figures")
-        labels = config.labels or tuple("point" for _ in range(config.n))
-        out = [
-            (float(p[0]), float(p[1]), lab)
-            for p, lab in zip(config.points, labels)
-            if x0 <= p[0] <= x1 and y0 <= p[1] <= y1
-        ]
-    if not out:
+        pts = np.asarray(config.points)
+        labels = np.asarray(config.labels or ("point",) * config.n)
+    x, y = pts[:, 0], pts[:, 1]
+    keep = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
+    if not keep.any():
         raise RenderError("no points fall inside the render window")
-    return sorted(out, key=lambda t: (t[2], t[0], t[1]))
-
-
-def _marker(shape, x, y, r, color):
-    if shape == "circle":
-        return f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{r:.3f}" fill="{color}"/>'
-    if shape == "square":
-        return (
-            f'<rect x="{x - r:.3f}" y="{y - r:.3f}" width="{2 * r:.3f}" '
-            f'height="{2 * r:.3f}" fill="{color}"/>'
-        )
-    if shape == "diamond":
-        pts = f"{x:.3f},{y - r:.3f} {x + r:.3f},{y:.3f} {x:.3f},{y + r:.3f} {x - r:.3f},{y:.3f}"
-        return f'<polygon points="{pts}" fill="{color}"/>'
-    pts = f"{x:.3f},{y - r:.3f} {x + r:.3f},{y + r:.3f} {x - r:.3f},{y + r:.3f}"
-    return f'<polygon points="{pts}" fill="{color}"/>'
+    # numpy sorts unicode by code point, as Python sorts str
+    names, code = np.unique(labels[keep], return_inverse=True)
+    x, y = x[keep], y[keep]
+    order = np.lexsort((y, x, code))
+    return x[order], y[order], code[order], names.tolist()
 
 
 def render_svg(config, style=None):
     """Render a configuration as an SVG 1.1 document string."""
     style = style or RenderStyle()
     window = style.resolved_window(config)
-    points = _gather(config, window)
+    x, y, code, classes = _gather(config, window)
     (x0, x1), (y0, y1) = window
     span_x, span_y = x1 - x0, y1 - y0
     scale = style.size / max(span_x, span_y)
     width, height = span_x * scale, span_y * scale
-
-    classes = sorted({lab for _, _, lab in points})
-    shape_of = {lab: _SHAPES[i % len(_SHAPES)] for i, lab in enumerate(classes)}
-    color_of = {lab: _COLORS[i % len(_COLORS)] for i, lab in enumerate(classes)}
 
     body = []
     if style.show_boundary and (
@@ -133,9 +127,14 @@ def render_svg(config, style=None):
             f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="{scale:.3f}" '
             'fill="none" stroke="#888888" stroke-width="1"/>'
         )
-    for x, y, lab in points:
-        sx, sy = (x - x0) * scale, (y1 - y) * scale
-        body.append(_marker(shape_of[lab], sx, sy, style.marker_px, color_of[lab]))
+    # after the sort each class is one run of markers: one %-format each
+    sx, sy, r = (x - x0) * scale, (y1 - y) * scale, style.marker_px
+    bounds = np.searchsorted(code, np.arange(len(classes) + 1)).tolist()
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        text, columns = _SHAPES[i % len(_SHAPES)]
+        marker = text.format(r=r, d=2 * r, c=_COLORS[i % len(_COLORS)])
+        coords = np.column_stack(columns(sx[a:b], sy[a:b], r)).ravel().tolist()
+        body.append("\n".join([marker] * (b - a)) % tuple(coords))
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

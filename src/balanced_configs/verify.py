@@ -32,7 +32,7 @@ from .configs import (
     _windowed_plane_bases,
     min_distance,
 )
-from .errors import InsufficientPatchError, NoPairsError
+from .errors import InsufficientPatchError, NoPairsError, ParameterDomainError
 from .geometry import DEFAULT_TOL, Tolerance
 
 
@@ -50,7 +50,7 @@ class VerifyParams:
 
     def __post_init__(self):
         if not (self.max_radius > 0.0):
-            raise ValueError("max_radius must be positive")
+            raise ParameterDomainError("max_radius must be positive")
 
 
 @dataclass(frozen=True)
