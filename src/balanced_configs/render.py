@@ -1,11 +1,10 @@
 """Deterministic SVG figures for planar and disk configurations.
 
-Markers are drawn in a fixed order: sorted by label, then x, then y, with
-ties in input order.  Label classes, in sorted order, take the marker shapes
-circle, square, diamond and triangle and a palette of six colours, each
-cycling, matching the visual convention of drawing lattice vertices, edge
-midpoints, and face centers distinctly.  Output is plain SVG 1.1 text;
-rendering the same configuration twice yields byte-identical documents.
+Markers are sorted by label, then x, then y, ties in input order.  Label
+classes, in sorted order, take the shapes circle, square, diamond and triangle
+and six colours, each cycling, so lattice vertices, edge midpoints and face
+centers are drawn distinctly.  Output is plain SVG 1.1 text; rendering the
+same configuration twice yields byte-identical documents.
 """
 from __future__ import annotations
 
@@ -88,23 +87,25 @@ def _gather(config, window):
             for p in config.cartesian_motif()
         ]
         pts = np.concatenate(boxes)
-        labels = np.repeat(
-            np.asarray(config.labels or ("point",) * config.k), [len(b) for b in boxes]
-        )
+        labels = config.labels or ("point",) * config.k
+        owner = np.repeat(np.arange(config.k), [len(b) for b in boxes])
     else:
         if isinstance(config, FinitePointSet) and config.space == "sphere":
             raise RenderError("sphere configurations are not renderable as flat figures")
         pts = np.asarray(config.points)
-        labels = np.asarray(config.labels or ("point",) * config.n)
+        labels = config.labels or ("point",) * config.n
+        owner = slice(None)
+    # rank labels as Python sorts them (numpy strings drop trailing NULs)
+    names = sorted(set(labels))
+    rank = np.fromiter(map({lab: i for i, lab in enumerate(names)}.__getitem__, labels), np.intp, len(labels))
     x, y = pts[:, 0], pts[:, 1]
     keep = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
     if not keep.any():
         raise RenderError("no points fall inside the render window")
-    # numpy sorts unicode by code point, as Python sorts str
-    names, code = np.unique(labels[keep], return_inverse=True)
+    present, code = np.unique(rank[owner][keep], return_inverse=True)
     x, y = x[keep], y[keep]
     order = np.lexsort((y, x, code))
-    return x[order], y[order], code[order], names.tolist()
+    return x[order], y[order], code[order], [names[i] for i in present.tolist()]
 
 
 def render_svg(config, style=None):

@@ -1,5 +1,6 @@
-"""Document format round-trips and diagnostics, SVG determinism and marker
-classing, and end-to-end CLI exit codes."""
+"""Document format round-trips and diagnostics, SVG determinism, marker
+classing and golden bytes, and end-to-end CLI exit codes."""
+import hashlib
 import io
 import json
 import math
@@ -8,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from balanced_configs.cli import main
+from balanced_configs import cli
+from balanced_configs.cli import build_parser, main
 from balanced_configs.configs import FinitePointSet, PeriodicConfig
 from balanced_configs.docio import (
     ConfigDocument,
@@ -19,10 +21,13 @@ from balanced_configs.docio import (
 )
 from balanced_configs.errors import RenderError, ValidationError
 from balanced_configs.generators import (
+    RotationTilingFlags,
+    RotationTilingParams,
     SubsetFlags,
     TriangleGroupFlags,
     TriangleGroupParams,
     gen_hexagonal,
+    gen_hyp_rotation_tiling,
     gen_hyp_triangle_group,
     gen_line,
     gen_sphere,
@@ -308,6 +313,16 @@ class TestDocumentDiagnostics:
         assert isinstance(c, PeriodicConfig)
         assert c.k == 1
 
+    def test_runtime_checks_are_validation_errors(self):
+        # parse_config accepts the motif; the container finds the two points
+        # equal modulo the lattice
+        text = json.dumps(
+            {"space": "euclidean2", "kind": "periodic", "basis": [[1, 0], [0, 1]], "motif": [[0, 0], [1, 0]]}
+        )
+        with pytest.raises(ValidationError) as info:
+            to_runtime(parse_config(text))
+        assert info.value.field == "motif"
+
 
 class TestRender:
     def test_three_marker_classes(self):
@@ -357,6 +372,119 @@ class TestRender:
             render_svg(
                 gen_line(3, 1.0), RenderStyle(window=((50.0, 51.0), (50.0, 51.0)))
             )
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            ((-math.inf, math.inf), (-1.0, 1.0)),
+            ((-1.0, 1.0), (-1.0, math.inf)),
+            ((math.nan, 1.0), (-1.0, 1.0)),
+            ((-1e308, 1e308), (-1.0, 1.0)),  # finite bounds, infinite extent
+        ],
+    )
+    def test_non_finite_windows_are_refused(self, window):
+        with pytest.raises(RenderError, match="finite"):
+            RenderStyle(window=window).resolved_window(gen_triangular(1.0))
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _ties():
+    """Duplicate points, and 0.0 against -0.0, in two label classes."""
+    pts = [(1.0, 1.0), (0.0, 0.5), (-0.0, 0.5), (1.0, 1.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 0.5), (1.0, 1.0), (-0.0, 0.5)]
+    return FinitePointSet("plane", np.array(pts), labels=("b", "a", "a", "b", "a", "a", "a", "b", "a"))
+
+
+def _seven_labels():
+    """Seven label classes, so both the shapes and the colours wrap."""
+    pts = np.round(np.random.default_rng(9).uniform(-3.0, 3.0, (60, 2)), 1)
+    names = ("vertex", "Mid", "a10", "a2", "z", "_c", "\u00e9")
+    return FinitePointSet("plane", pts, labels=tuple(names[i % 7] for i in range(60)))
+
+
+class TestGoldenSvg:
+    """render_svg output pinned by sha256, with the hashes taken from the
+    per-point renderer that the array renderer replaced."""
+
+    def test_depth4_rotation_tiling_all_shapes(self):
+        params = RotationTilingParams(math.radians(30), math.radians(40), math.radians(50), 3, 4)
+        c = gen_hyp_rotation_tiling(params, RotationTilingFlags(True, True, True, True))
+        svg = render_svg(c)
+        assert all(f"<{tag}" in svg for tag in ("circle", "rect", "polygon"))
+        assert _sha(svg) == "aea6cd8ef334374b0bb152335b5b438db8ee17649379a64cf9020b3c225a0daf"
+
+    def test_windowed_hexagonal_lattice(self):
+        c = gen_hexagonal(1.0, SubsetFlags(True, True, True))
+        svg = render_svg(c, RenderStyle(window=((-4.5, 5.0), (-3.0, 3.5))))
+        assert _sha(svg) == "4587e61f81e87a26fe9123c66c69167eb52b5d63a4f19ebacfc4b8ef4934e60a"
+
+    def test_seven_label_classes(self):
+        svg = render_svg(_seven_labels())
+        # the seventh class is a diamond in the first colour
+        assert svg.count('fill="#1f77b4"') == 17
+        assert _sha(svg) == "fbe16682d65a88cb04896c3a7b33264b2a240a73753f18345d3e8e21ee2cfc39"
+
+    def test_duplicates_and_signed_zeros(self):
+        svg = render_svg(_ties(), RenderStyle(window=((0.0, 2.0), (-1.0, 1.5)), size=200))
+        # ties keep input order: -0.0 - 0.0 is -0.0, so the sign shows
+        assert [line[12:18] for line in svg.splitlines() if line.startswith("<circle")] == [
+            "0.000\"", "-0.000", "0.000\"", "-0.000", "0.000\"", "-0.000"
+        ]
+        assert _sha(svg) == "06d67ef3668d2e75e23c516b4b38060a6b5553adcf9a497463cdc75c43f28080"
+
+    def test_no_boundary_and_size(self):
+        c = gen_hyp_triangle_group(TriangleGroupParams(2, 3, 7, 3), TriangleGroupFlags(True, True, True))
+        svg = render_svg(c, RenderStyle(show_boundary=False, size=333))
+        assert 'stroke="#888888"' not in svg and 'width="333"' in svg
+        assert _sha(svg) == "1d8d27c0f587cdfec0d9c35bcb1b425c306661f799827c82d673ba972657975d"
+
+
+def _scalar_markers(points, labels, window, size, r=4.0):
+    """Marker lines as a per-point renderer writes them: Python's sorted over
+    (label, x, y), then one f-string per point."""
+    (x0, x1), (y0, y1) = window
+    scale = size / max(x1 - x0, y1 - y0)
+    inside = sorted(
+        ((lab, float(x), float(y)) for (x, y), lab in zip(points, labels) if x0 <= x <= x1 and y0 <= y <= y1),
+        key=lambda t: (t[0], t[1], t[2]),
+    )
+    classes = sorted({lab for lab, _, _ in inside})
+    colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+    lines = []
+    for lab, x, y in inside:
+        i = classes.index(lab)
+        x, y, c = (x - x0) * scale, (y1 - y) * scale, colors[i % 6]
+        shape = i % 4
+        if shape == 0:
+            lines.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{r:.3f}" fill="{c}"/>')
+        elif shape == 1:
+            lines.append(f'<rect x="{x - r:.3f}" y="{y - r:.3f}" width="{2 * r:.3f}" height="{2 * r:.3f}" fill="{c}"/>')
+        elif shape == 2:
+            pts = f"{x:.3f},{y - r:.3f} {x + r:.3f},{y:.3f} {x:.3f},{y + r:.3f} {x - r:.3f},{y:.3f}"
+            lines.append(f'<polygon points="{pts}" fill="{c}"/>')
+        else:
+            pts = f"{x:.3f},{y - r:.3f} {x + r:.3f},{y + r:.3f} {x - r:.3f},{y + r:.3f}"
+            lines.append(f'<polygon points="{pts}" fill="{c}"/>')
+    return lines
+
+
+class TestMarkerOrderOracle:
+    def test_random_labelled_sets(self):
+        rng = np.random.default_rng(31)
+        # a trailing NUL, which numpy's fixed-width strings drop, must still
+        # make a class of its own
+        names = ("b", "a", "B", "\u00e9", "a\x00", "_")
+        for _ in range(5):
+            # a coarse grid, so that equal x and equal (x, y) pairs occur
+            pts = rng.integers(-8, 9, (300, 2)) / 4.0
+            pts[rng.random(300) < 0.1, 0] = -0.0  # ties with the grid's 0.0
+            labels = tuple(names[i] for i in rng.integers(0, len(names), 300))
+            # x0 = 0.0 keeps the sign of a -0.0 marker, so tie order shows
+            window = ((0.0, 2.0), (-2.0, 1.75))
+            svg = render_svg(FinitePointSet("plane", pts, labels=labels), RenderStyle(window=window, size=300))
+            assert svg.splitlines()[3:-1] == _scalar_markers(pts, labels, window, 300)
 
 
 def _run(capsys, argv):
@@ -535,6 +663,78 @@ class TestCli:
         assert code == 0 and out == svg
         # a periodic document without a window is a usage error
         assert _run(capsys, ["render", str(doc)])[0] == 2
+
+    @pytest.mark.parametrize("window", ["-inf,inf,-1,1", "-1e308,1e308,-1,1", "nan,1,-1,1"])
+    def test_render_non_finite_window_exits_two(self, capsys, tmp_path, window):
+        # refused before any translate box is built
+        doc = tmp_path / "tri.json"
+        doc.write_text(serialize(document_from(gen_triangular(1.0))))
+        code, out, err = _run(capsys, ["render", str(doc), f"--window={window}"])
+        assert (code, out) == (2, "")
+        assert "render window bounds and extents must be finite" in err
+
+    def test_internal_value_error_exits_three(self, capsys, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(cli, "verify_plane", broken)
+        doc = tmp_path / "tri.json"
+        doc.write_text(serialize(document_from(gen_triangular(1.0))))
+        code, _, err = _run(capsys, ["verify", str(doc)])
+        assert code == 3
+        assert "internal error: ValueError: injected" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["generate", "--family", "triangle-group", "--sets", "p_centers", "--pqr", "2,3,6"], "1/p + 1/q + 1/r < 1"),
+            (["generate", "--family", "triangle-group", "--sets", "p_centers", "--pqr", "2,3,nan"], "--pqr must be three integers"),
+            (["generate", "--family", "rotation-tiling", "--angles", "10,20,x"], "--angles values must be numbers"),
+            (["generate", "--family", "lattice", "--basis", "1,0;2,0"], "linearly independent"),
+            (["generate", "--family", "triangular", "--side", "-1"], "side must be positive"),
+            (["generate", "--family", "sphere", "--kind", "foo"], "unknown sphere tiling kind"),
+            (["generate", "--family", "triangular", "-o", "{tmp}/missing/out.json"], "cannot write"),
+            (["verify", "{tmp}/two.json", "--max-radius", "0"], "max_radius must be positive"),
+            (["verify", "{tmp}/two.json", "--class-tol", "0"], "tolerances must satisfy"),
+            (["verify", "{tmp}/one.json"], "at least two points"),
+            (["verify", "{tmp}/dup.json"], "pairwise distinct"),
+            (["classify", "{tmp}/cube.json"], "classify requires a euclidean2 document"),
+            (["symmetry", "{tmp}/patch.json"], "symmetry requires a euclidean2 document"),
+            (["lemmas", "--samples", "5"], "--samples must be at least 100"),
+        ],
+    )
+    def test_typed_refusals_exit_two(self, capsys, tmp_path, argv, message):
+        docs = {
+            "two": ConfigDocument("euclidean2", "finite", ((0.0, 0.0), (1.0, 0.0))),
+            "one": ConfigDocument("euclidean2", "finite", ((0.0, 0.0),)),
+            "cube": document_from(gen_sphere("cube", SubsetFlags(True, False, False))),
+            "patch": document_from(
+                gen_hyp_triangle_group(TriangleGroupParams(2, 3, 7, 2), TriangleGroupFlags(True, False, False))
+            ),
+        }
+        for name, doc in docs.items():
+            (tmp_path / f"{name}.json").write_text(serialize(doc))
+        (tmp_path / "dup.json").write_text(
+            json.dumps({"space": "euclidean2", "kind": "periodic", "basis": [[1, 0], [0, 1]], "motif": [[0, 0], [1, 0]]})
+        )
+        code, out, err = _run(capsys, [a.format(tmp=tmp_path) for a in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+    def test_flag_parsing_names_the_flag(self):
+        cases = [
+            (lambda: cli._parse_pair_list("1,2", "--window", 4), "--window"),
+            (lambda: cli._parse_pair_list("1,x", "--angles", 2), "--angles"),
+            (lambda: cli._parse_basis("1,0"), "--basis"),
+            (lambda: cli._parse_basis("1,0;0,y"), "--basis"),
+            (lambda: cli._parse_sets("faces", cli._TG_NAMES, TriangleGroupFlags), "--sets"),
+            (lambda: cli._parse_sets(" , ", cli._TG_NAMES, TriangleGroupFlags), "--sets"),
+            (lambda: cli._cmd_lemmas(build_parser().parse_args(["lemmas", "--samples", "99"])), "--samples"),
+        ]
+        for call, flag in cases:
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert info.value.field == flag
 
     def test_render_sphere_rejected(self, capsys, tmp_path):
         doc = tmp_path / "cube.json"

@@ -181,10 +181,12 @@ def _hyp_law_of_cosines_sides(a1, a2, a3):
 
 
 class TestTriangleGroup:
-    def test_euclidean_signature_rejected(self):
+    @pytest.mark.parametrize("pqr", [(3, 3, 3), (2, 4, 4), (2, 3, 6)])
+    def test_euclidean_signature_rejected(self, pqr):
+        # 1/2 + 1/3 + 1/6 sums to 0.9999999999999999 in floats
         with pytest.raises(ParameterDomainError):
             gen_hyp_triangle_group(
-                TriangleGroupParams(3, 3, 3, 1), TriangleGroupFlags(True, False, False)
+                TriangleGroupParams(*pqr, 1), TriangleGroupFlags(True, False, False)
             )
 
     def test_seed_triangle_angles_and_sides(self):

@@ -238,19 +238,24 @@ class TestVerifySphere:
             assert ca.residual_norm == pytest.approx(cb.residual_norm, rel=1e-9, abs=1e-15)
 
     def test_residuals_match_per_class_loop(self):
-        # reference: one cross product, projection and norm per class
+        # reference: one class sum (in the verifier's order), cross product,
+        # projection and norm per class.  ngon(12) with all subsets has a
+        # 24-member class at each pole, whose x-sum differs in the last bits
+        # between a row-by-row sum and the verifier's order
         rng = np.random.default_rng(13)
+        configs = [gen_sphere("ngon(12)", SubsetFlags(True, True, True))]
         for kind in ("dodecahedron", "ngon(9)"):
             base = gen_sphere(kind, SubsetFlags(True, True, True))
             pts = base.points + 1e-2 * rng.standard_normal(base.points.shape)
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-            c = FinitePointSet("sphere", pts)
+            configs.append(FinitePointSet("sphere", pts))
+        for c in configs:
             cutoff = 6.0 * min_distance(c)
             for mode in ("scalar_multiple", "tangent_projection"):
                 expected = []
                 for b in c.points:
                     for cl in distance_classes(c, b, cutoff):
-                        total = cl.points.sum(axis=0)
+                        total = _class_sum(cl.points)
                         if mode == "scalar_multiple":
                             residual = np.cross(total, b)
                         else:
