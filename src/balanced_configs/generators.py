@@ -117,7 +117,7 @@ class RotationTilingParams:
             raise ParameterDomainError("m must be an integer >= 3")
         if not isinstance(self.depth, int) or self.depth < 0:
             raise ParameterDomainError("depth must be a nonnegative integer")
-        if min(self.alpha, self.beta, self.gamma) <= 0.0:
+        if not all(a > 0.0 for a in (self.alpha, self.beta, self.gamma)):  # NaN fails too
             raise ParameterDomainError("all three angles must be positive")
         if abs(self.alpha + self.beta + self.gamma - 2.0 * math.pi / self.m) > 1e-12:
             raise ParameterDomainError("angles must sum to 2*pi/m")

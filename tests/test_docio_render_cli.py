@@ -690,6 +690,7 @@ class TestCli:
             (["generate", "--family", "triangle-group", "--sets", "p_centers", "--pqr", "2,3,6"], "1/p + 1/q + 1/r < 1"),
             (["generate", "--family", "triangle-group", "--sets", "p_centers", "--pqr", "2,3,nan"], "--pqr must be three integers"),
             (["generate", "--family", "rotation-tiling", "--angles", "10,20,x"], "--angles values must be numbers"),
+            (["generate", "--family", "rotation-tiling", "--angles", "40,nan,40"], "angles must be positive"),
             (["generate", "--family", "lattice", "--basis", "1,0;2,0"], "linearly independent"),
             (["generate", "--family", "triangular", "--side", "-1"], "side must be positive"),
             (["generate", "--family", "sphere", "--kind", "foo"], "unknown sphere tiling kind"),
