@@ -16,8 +16,12 @@ the pairs already run.
 The file holds every pair's metrics, and per workload and end-to-end metric
 (as BENCHMARK.json declares them) each side's median and quartiles
 (linear interpolation), the number of pairs the change wins (better in the
-metric's declared direction; ties count for neither) and the ratio of the
-medians, change over parent.
+metric's declared direction; ties count for neither), the ratio of the
+medians, change over parent, and two verdicts: ``gain`` (the change wins at
+least 0.9 of the pairs and its median is better than the parent's by more
+than the parent's IQR) and ``within_bound`` (the change's median is not
+worse than the parent's by more than the metric's ``bound``, a fraction of
+the parent's median).
 """
 from __future__ import annotations
 
@@ -81,21 +85,26 @@ def spread(values):
 
 
 def summarize(pairs, metrics):
-    """Per metric: each side's quartiles, the change's wins and the ratio of medians."""
+    """Per metric: each side's quartiles, the change's wins, the ratio of
+    medians and the gain and bound verdicts."""
     if len(pairs) < 2:
         return {}
     out = {}
-    for name, better in sorted(metrics.items()):
+    for name, (better, bound) in sorted(metrics.items()):
         got = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
         sign = 1.0 if better == "lower" else -1.0
         wins = sum(sign * (c - p) < 0.0 for p, c in zip(got["parent"], got["change"]))
         stats = {side: spread(got[side]) for side in SIDES}
         base = stats["parent"]["median"]
+        # how much better the change's median is, in the declared direction
+        gap = sign * (base - stats["change"]["median"])
         out[name] = {
             **stats,
             "wins": wins,
             "pairs": len(pairs),
             "ratio_of_medians": stats["change"]["median"] / base if base else None,
+            "gain": wins >= 0.9 * len(pairs) and gap > stats["parent"]["iqr"],
+            "within_bound": gap >= -bound * abs(base),
         }
     return out
 
@@ -104,7 +113,7 @@ def main(argv=None):
     args = parse_args(argv)
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         bench = json.load(fh)
-    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     revs = {side: subprocess.run(["git", "rev-parse", "--short", rev], check=True, capture_output=True,

@@ -40,6 +40,10 @@ class PeriodicConfig:
     basis: np.ndarray
     motif: np.ndarray
     labels: tuple | None = None
+    # canonical_basis, and min_distance per (class_tol, dedup_tol), built on
+    # first use and kept on the container (containers are immutable)
+    _reduced: object = field(default=None, init=False, repr=False)
+    _min_d: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.basis = np.asarray(self.basis, dtype=float)
@@ -63,11 +67,7 @@ class PeriodicConfig:
         self._check_motif_distinct()
 
     def _check_motif_distinct(self, tol=DEFAULT_TOL):
-        cart = self.cartesian_motif()
-        k = np.arange(len(cart))
-        i, j = np.nonzero(k[:, None] < k)
-        d = np.linalg.norm((cart[j] - cart[i])[:, None, :] + _shift_grid() @ self.basis, axis=2)
-        if np.any(d <= tol.dedup_tol):
+        if np.any(_motif_gaps(self) <= tol.dedup_tol):
             raise InvalidPointError("motif points must be pairwise distinct modulo the lattice")
 
     @property
@@ -198,6 +198,15 @@ def _shift_grid():
     return np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
 
 
+def _motif_gaps(c):
+    """For each motif pair i < j, the distance from point i to the nearest of
+    the 3x3 cell translates of point j."""
+    cart = c.cartesian_motif()
+    k = np.arange(len(cart))
+    i, j = np.nonzero(k[:, None] < k)
+    return np.linalg.norm((cart[j] - cart[i])[:, None, :] + _shift_grid() @ c.basis, axis=2).min(axis=1)
+
+
 def _lagrange_reduce(basis):
     """Shortest-vector basis of a 2d lattice (|v1| <= |v2|, |v1.v2| <= |v1|^2 / 2)."""
     v1 = basis[0].astype(float).copy()
@@ -219,12 +228,14 @@ def canonical_basis(c):
     """Equivalent PeriodicConfig over the Lagrange-reduced basis.
 
     The reduced basis satisfies |v1| <= |v2| and 0 <= v1.v2 <= |v1|^2 / 2, so
-    the angle between the vectors lies in [60, 90] degrees.
+    the angle between the vectors lies in [60, 90] degrees.  Built once per
+    configuration and kept on it.
     """
-    red = _lagrange_reduce(c.basis)
-    cart = c.cartesian_motif()
-    frac = cart @ np.linalg.inv(red)
-    return PeriodicConfig(red, np.mod(frac, 1.0), labels=c.labels)
+    if c._reduced is None:
+        red = _lagrange_reduce(c.basis)
+        frac = c.cartesian_motif() @ np.linalg.inv(red)
+        c._reduced = PeriodicConfig(red, np.mod(frac, 1.0), labels=c.labels)
+    return c._reduced
 
 
 def _dim(c):
@@ -484,13 +495,23 @@ def _closest_pair(c):
 def min_distance(c, tol=DEFAULT_TOL):
     """Minimal pairwise distance of the configuration.
 
-    For periodic configurations one kernel query over the reduced basis at
-    radius |v1| is exact: every motif point has its own translate at |v1|.
+    For periodic configurations the minimum is at most |v1| of the reduced
+    basis (every motif point has its own translate there) and at most the
+    distance between any two motif points, each to the other's nearest cell
+    translate; pairs within 2 * dedup_tol, which the kernel may drop, are
+    skipped.  One kernel query at that bound, padded for rounding, is exact.
+    The result is kept on the configuration, per tolerance.
     """
     if isinstance(c, PeriodicConfig):
-        red = canonical_basis(c)
-        reach = float(np.linalg.norm(red.basis[0])) + tol.class_tol
-        return float(_neighbors(red, red.cartesian_motif(), reach, tol.dedup_tol)[2].min())
+        key = (tol.class_tol, tol.dedup_tol)
+        if key not in c._min_d:
+            red = canonical_basis(c)
+            gaps = _motif_gaps(red)
+            gaps = gaps[gaps > 2.0 * tol.dedup_tol]
+            bound = min(float(np.linalg.norm(red.basis[0])), float(gaps.min(initial=np.inf)))
+            reach = bound * (1.0 + 1e-9) + tol.class_tol
+            c._min_d[key] = float(_neighbors(red, red.cartesian_motif(), reach, tol.dedup_tol)[2].min())
+        return c._min_d[key]
     if isinstance(c, PatchConfig):
         # Restrict to the certified window: fringe points beyond patch_radius
         # carry no completeness guarantee and are excluded from global
@@ -658,7 +679,8 @@ def _period_denominator(frac, kmax, tol=1e-6):
 def primitive_periods(c, tol=DEFAULT_TOL):
     """Shrink the motif by absorbing any translation symmetry into the basis.
 
-    Candidate sub-periods are the pairwise motif differences, validated
+    Candidate sub-periods are the differences motif[j] - motif[0] (a
+    translation symmetry carries motif[0] to some motif[j]), validated
     together by one membership probe of every translated motif point.  A valid
     period t extends the lattice to L + Zt, whose basis is recovered through
     an integer Hermite reduction; the motif is then re-reduced and deduplicated
@@ -667,9 +689,9 @@ def primitive_periods(c, tol=DEFAULT_TOL):
     cur = canonical_basis(c)
     while cur.k > 1:
         cart = cur.cartesian_motif()
-        # differences motif[j] - motif[i], i != j, in (i, j) order; the first
-        # of each to 1e-9 modulo the lattice, shortest first
-        diffs = np.mod(cur.motif[None, :, :] - cur.motif[:, None, :], 1.0)[~np.eye(cur.k, dtype=bool)]
+        # differences motif[j] - motif[0], j > 0; the first of each to 1e-9
+        # modulo the lattice, shortest first
+        diffs = np.mod(cur.motif[1:] - cur.motif[0], 1.0)
         keys = np.round(diffs * 1e9).astype(int) % int(1e9)
         cands = diffs[np.sort(np.unique(keys, axis=0, return_index=True)[1])]
         t = (cands[:, None, :] @ cur.basis)[:, 0]
