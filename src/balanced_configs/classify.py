@@ -33,6 +33,7 @@ from .configs import (
     points_within,
     primitive_periods,
 )
+from .errors import AmbiguousClassError
 from .geometry import DEFAULT_TOL
 from .verify import _base_points_for
 
@@ -258,8 +259,14 @@ def _classify_line(c, tol):
 
 def classify(c, tol=DEFAULT_TOL):
     """Assign a configuration to one of the periodic planar families, or Line
-    for an evenly spaced collinear finite set; Unknown is the fallback verdict
-    and never an exception."""
+    for an evenly spaced collinear finite set.
+
+    Unknown is the verdict for input that fits no family, including the
+    domain and numeric failures of the period search and the family tests:
+    ValueError (periods that span no rank-2 lattice, a degenerate cell;
+    numpy's LinAlgError is one) and AmbiguousClassError.  Any other
+    exception is a bug and propagates.
+    """
     if isinstance(c, FinitePointSet):
         if c.space != "plane":
             raise ValueError("classification requires planar input")
@@ -269,7 +276,7 @@ def classify(c, tol=DEFAULT_TOL):
     try:
         prim = primitive_periods(c, tol)
         result = _classify_primitive(prim, tol)
-    except Exception:
+    except (ValueError, AmbiguousClassError):
         return ConfigClass(UNKNOWN, {})
     if result.tag == UNKNOWN:
         return result

@@ -9,15 +9,19 @@ Three containers cover every surface handled by the package:
 * ``PatchConfig``     - a finite window of an infinite hyperbolic tiling
   together with the radius up to which the window is certified complete.
 
-All containers are treated as immutable after construction.
+All containers are treated as immutable after construction, which lets
+them keep what is derived from them, built on first use: the polar index
+of a finite set or patch, and the reduced cell and the minimal distance
+(per class_tol and dedup_tol) of a periodic configuration.
 
 Every neighbour query goes through one kernel, ``_neighbors``, which takes
 an array of base points and returns flat (owner, point, distance) arrays,
 and one clusterer, ``_cluster``, which splits them into distance classes.
-Periodic input is enumerated from lattice translates; finite sets and
-patches query a polar index (``_PolarIndex``: radial bands sorted by angle)
-cached on the container, filtered by the container's metric
-(``hyperbolic._dist`` on the disk).  Everything here is numpy only.
+Periodic input is enumerated from lattice translates; its minimal distance
+is one query bounded by the nearest cell translates of the motif pairs.
+Finite sets and patches query a polar index (``_PolarIndex``: radial bands
+sorted by angle) cached on the container, filtered by the container's
+metric (``hyperbolic._dist`` on the disk).  Everything here is numpy only.
 """
 from __future__ import annotations
 

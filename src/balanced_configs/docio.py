@@ -83,7 +83,10 @@ class ConfigDocument:
 def _require_number(value, fieldname):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{fieldname} must be a number, got {value!r}", field=fieldname)
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf if value > 0 else -math.inf
     if not math.isfinite(value):
         raise ValidationError(f"{fieldname} must be finite, got {value!r}", field=fieldname)
     return value
@@ -123,8 +126,9 @@ def _validate_space_points(space, coords, fieldname):
     """
     if space == "sphere2":
         x, y, z = coords.T
-        if np.all(np.abs(np.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-9):
-            return
+        with np.errstate(over="ignore"):  # a square past the float range is inf, and fails
+            if np.all(np.abs(np.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-9):
+                return
         for i, p in enumerate(coords.tolist()):
             norm = math.sqrt(sum(x * x for x in p))
             if abs(norm - 1.0) > 1e-9:
@@ -134,8 +138,9 @@ def _validate_space_points(space, coords, fieldname):
                 )
     elif space == "hyperbolic2":
         x, y = coords.T
-        if np.all(x * x + y * y < 1.0 - 1e-12):
-            return
+        with np.errstate(over="ignore"):
+            if np.all(x * x + y * y < 1.0 - 1e-12):
+                return
         for i, p in enumerate(coords.tolist()):
             if math.hypot(p[0], p[1]) >= 1.0:
                 raise ValidationError(

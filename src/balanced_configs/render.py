@@ -47,13 +47,21 @@ class RenderStyle:
     window is ((xmin, xmax), (ymin, ymax)) in geometry units; it is required
     for periodic configurations and defaults to a padded bounding box (or the
     unit disk) otherwise.  Its bounds and extents must be finite and its
-    extents positive.  size is the longest SVG side in pixels.
+    extents positive.  size is the longest SVG side in pixels, at least 1;
+    marker_px, the marker radius in pixels, is finite and positive.
     """
 
     window: tuple | None = None
     size: int = 480
     marker_px: float = 4.0
     show_boundary: bool = True
+
+    def __post_init__(self):
+        # chained comparisons refuse NaN too
+        if not 1 <= self.size < math.inf:
+            raise RenderError(f"render size must be at least 1 pixel, got {self.size!r}")
+        if not 0.0 < self.marker_px < math.inf:
+            raise RenderError(f"marker_px must be finite and positive, got {self.marker_px!r}")
 
     def resolved_window(self, config):
         if self.window is not None:

@@ -2,6 +2,7 @@
 against hand-counted point symmetries, neighbor signatures against counted
 shells, and classification round-trips under random similarities."""
 import cmath
+import importlib
 import math
 import tracemalloc
 
@@ -251,6 +252,27 @@ class TestClassify:
 
         with pytest.raises(ValueError):
             regenerate(ConfigClass(UNKNOWN, {}))
+
+    def test_internal_failure_propagates(self, monkeypatch):
+        # only domain and numeric failures mean Unknown; a bug must surface
+        # the package re-exports classify(), which shadows the module name
+        classify_module = importlib.import_module("balanced_configs.classify")
+
+        def broken(prim, tol):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(classify_module, "_classify_primitive", broken)
+        with pytest.raises(TypeError, match="injected"):
+            classify(gen_triangular(1.0))
+
+    def test_unspanned_periods_are_unknown(self, monkeypatch):
+        from balanced_configs import configs
+
+        def unspanned(rows):
+            raise ValueError("rows do not span a rank-2 sublattice")
+
+        monkeypatch.setattr(configs, "_hnf_rows", unspanned)
+        assert classify(gen_triangular(1.0).supercell(2, 1)).tag == UNKNOWN
 
 
 def _oracle_rotations(c, p, tol=DEFAULT_TOL):

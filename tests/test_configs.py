@@ -10,6 +10,11 @@ from balanced_configs.configs import (
     FinitePointSet,
     PatchConfig,
     PeriodicConfig,
+    _dedup_fracs,
+    _hnf_rows,
+    _neighbors,
+    _period_denominator,
+    _row_dots,
     canonical_basis,
     contains,
     contains_many,
@@ -19,6 +24,7 @@ from balanced_configs.configs import (
     primitive_periods,
 )
 from balanced_configs.errors import AmbiguousClassError, NoPairsError
+from balanced_configs.generators import SubsetFlags, gen_hexagonal, gen_lattice, gen_triangular
 from balanced_configs.geometry import DEFAULT_TOL, Tolerance
 from balanced_configs.hyperbolic import hyp_dist
 
@@ -196,6 +202,161 @@ class TestPrimitivePeriods:
         )
         assert contains_many(prim, base.cartesian_motif()).all()
         assert contains_many(base, prim.cartesian_motif()).all()
+
+
+# the default tolerance, a fine one and a coarse one under which near
+# motif pairs count as one point
+_TOLERANCES = (DEFAULT_TOL, Tolerance(class_tol=1e-9, dedup_tol=1e-12), Tolerance(class_tol=0.1, dedup_tol=0.05))
+
+
+def _reference_min_distance(c, tol):
+    """Minimal distance by one kernel query at the full |v1| of the reduced
+    basis, where every motif point has its own translate."""
+    red = canonical_basis(c)
+    reach = float(np.linalg.norm(red.basis[0])) + tol.class_tol
+    return float(_neighbors(red, red.cartesian_motif(), reach, tol.dedup_tol)[2].min())
+
+
+def _reference_primitive_periods(c, tol):
+    """primitive_periods with every ordered motif pair (i, j), i != j, as a
+    candidate period."""
+    cur = canonical_basis(c)
+    while cur.k > 1:
+        cart = cur.cartesian_motif()
+        diffs = np.mod(cur.motif[None, :, :] - cur.motif[:, None, :], 1.0)[~np.eye(cur.k, dtype=bool)]
+        keys = np.round(diffs * 1e9).astype(int) % int(1e9)
+        cands = diffs[np.sort(np.unique(keys, axis=0, return_index=True)[1])]
+        t = (cands[:, None, :] @ cur.basis)[:, 0]
+        length = np.sqrt(_row_dots(t, t))
+        order = np.argsort(length, kind="stable")
+        cands, t, length = cands[order], t[order], length[order]
+        shifted = (cart[None, :, :] + t[:, None, :]).reshape(-1, 2)
+        periodic = contains_many(cur, shifted, tol).reshape(len(t), cur.k).all(axis=1)
+        for dfrac in cands[periodic & (length > tol.dedup_tol)]:
+            q, pvec = _period_denominator(dfrac, cur.k)
+            if q is None:
+                continue
+            new_basis = (_hnf_rows([[q, 0], [0, q], list(pvec)]) / q) @ cur.basis
+            new_motif = _dedup_fracs(np.mod(cart @ np.linalg.inv(new_basis), 1.0), new_basis, tol)
+            index = abs(np.linalg.det(cur.basis) / np.linalg.det(new_basis))
+            if abs(index - round(index)) > 1e-9 or len(new_motif) * round(index) != cur.k:
+                continue
+            cur = canonical_basis(PeriodicConfig(new_basis, new_motif))
+            break
+        else:
+            break
+    return cur
+
+
+def _random_cells(seed, count):
+    """Seeded random bases and motifs of 1 to 6 points, some on a quarter
+    grid (so sub-periods occur), in supercells up to 3 x 2; the second of
+    each pair is near-periodic: one extra point lies 0.01 to 0.04 from a
+    motif point, within the coarse dedup_tol."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < 2 * count:
+        basis = rng.normal(size=(2, 2))
+        if abs(np.linalg.det(basis)) < 0.2:
+            continue
+        motif = rng.random((int(rng.integers(1, 7)), 2))
+        if rng.random() < 0.4:
+            motif = np.unique(np.round(motif * 4.0) / 4.0, axis=0)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        step = rng.uniform(0.01, 0.04) * np.array([math.cos(angle), math.sin(angle)])
+        near = np.vstack([motif, motif[:1] + step @ np.linalg.inv(basis)])
+        na, nb = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        try:
+            pair = [PeriodicConfig(basis, m).supercell(na, nb) for m in (motif, near)]
+        except ValueError:  # points that coincide modulo the lattice
+            continue
+        out += pair
+    return out
+
+
+def _single_point_lattices(seed, count, scale=1.0):
+    """Seeded random lattices with one motif point: the minimum is |v1|."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        basis = scale * rng.normal(size=(2, 2))
+        if abs(np.linalg.det(basis)) >= 0.2 * scale * scale:
+            out.append(PeriodicConfig(basis, [(0.0, 0.0)]))
+    return out
+
+
+def _families_under_similarities(seed):
+    rng = np.random.default_rng(seed)
+    oblique = np.array([[1.0, 0.0], [0.35, 1.25]])
+    families = (
+        gen_triangular(1.3),
+        PeriodicConfig(oblique, [(0.0, 0.0)]),
+        gen_lattice(oblique[0], oblique[1], SubsetFlags(True, True, False)),
+        gen_hexagonal(0.9, SubsetFlags(True, False, False)),
+        gen_hexagonal(0.9, SubsetFlags(True, True, False)),
+        gen_hexagonal(0.9, SubsetFlags(True, True, True)),
+    )
+    return [
+        f.supercell(na, nb).transformed(
+            rotation=float(rng.uniform(0.0, 2.0 * math.pi)),
+            translation=tuple(rng.uniform(-5.0, 5.0, 2)),
+            scale=float(rng.uniform(0.5, 2.0)),
+        )
+        for f in families
+        for na, nb in ((1, 1), (2, 1), (1, 2), (2, 2))
+    ]
+
+
+class TestBoundedPeriodicQueries:
+    """The bounded min_distance query and the one-row period search against
+    the |v1|-reach query and the all-pairs search, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_min_distance_matches_full_reach_query(self, seed):
+        cells = _random_cells(seed, 40) + _single_point_lattices(seed, 60) + _families_under_similarities(seed)
+        for c in cells:
+            for tol in _TOLERANCES:
+                # a fresh copy for the reference, so no memo is shared
+                ref = _reference_min_distance(PeriodicConfig(c.basis, c.motif), tol)
+                assert min_distance(c, tol).hex() == ref.hex()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_primitive_periods_match_all_pairs_search(self, seed):
+        # near-periodic cells are left out: under the coarse tolerance their
+        # periods hold only to within dedup_tol, and a shorter one may then
+        # start at another motif point than motif[0]
+        for c in _random_cells(seed, 40)[::2] + _families_under_similarities(seed):
+            for tol in _TOLERANCES:
+                got = primitive_periods(c, tol)
+                ref = _reference_primitive_periods(PeriodicConfig(c.basis, c.motif), tol)
+                assert got.basis.tobytes() == ref.basis.tobytes()
+                assert got.motif.tobytes() == ref.motif.tobytes()
+
+    def test_bound_is_padded_for_rounding(self):
+        # at scale 1e8 one ulp of |v1| exceeds the fine class_tol, and the
+        # kernel's |v1| can round one ulp above the bound's: the query must
+        # still reach it (a query at |v1| + class_tol misses it here)
+        for c in _single_point_lattices(7, 150, scale=1e8):
+            v1 = canonical_basis(c).basis[0]
+            assert min_distance(c, _TOLERANCES[1]) == pytest.approx(math.hypot(*v1), rel=1e-15)
+
+    def test_min_distance_is_kept_per_tolerance(self):
+        fine, coarse = _TOLERANCES[1], _TOLERANCES[2]
+        # a pair 0.03 apart: a distance under the fine tolerance, one point
+        # under the coarse one
+        make = lambda: PeriodicConfig(np.eye(2), [(0.0, 0.0), (0.03, 0.0)])  # noqa: E731
+        assert min_distance(make(), fine) == pytest.approx(0.03)
+        assert min_distance(make(), coarse) == pytest.approx(0.97)
+        for first, second in ((fine, coarse), (coarse, fine)):
+            c = make()
+            a, b = min_distance(c, first), min_distance(c, second)
+            assert (a, b) == (min_distance(make(), first), min_distance(make(), second))
+            assert min_distance(c, first) == a and min_distance(c, second) == b
+
+    def test_reduced_cell_is_built_once(self):
+        c = gen_hexagonal(0.9, SubsetFlags(True, True, True)).supercell(2, 1)
+        assert canonical_basis(c) is canonical_basis(c)
+        assert c._reduced is canonical_basis(c)
 
 
 class TestPatchConfig:

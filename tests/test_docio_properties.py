@@ -143,3 +143,94 @@ def test_point_gates_match_per_entry_rules(data):
         assert (err.value.field, str(err.value)) == expected
     else:
         assert parse_config(doc).points.tolist() == [list(p) for p in expected]
+
+
+# unit vectors with exact float norms, for sphere documents
+_UNIT = [(1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (0.0, 0.8, -0.6)]
+# coordinates no number check admits: bools, strings, null, nesting, and
+# integers too large for a float
+_NOT_NUMBERS = [True, False, "0.5", None, [0.5], [], {}, 10**400, -(10**400)]
+_NOT_COORD_LISTS = ["points", 5, {}, [], None, True]
+
+
+@st.composite
+def _base_documents(draw):
+    if draw(st.integers(0, 3)) == 0:
+        pts = tuple(draw(st.lists(st.sampled_from(_UNIT), min_size=1, max_size=5)))
+        return ConfigDocument("sphere2", "finite", pts, metadata=draw(_metadata))
+    return draw(_documents())
+
+
+@st.composite
+def _malformed(draw):
+    """A serialized document with one defect, as decoded JSON, and the field
+    that parse_config must name."""
+    doc = draw(_base_documents())
+    raw = json.loads(serialize(doc))
+    coords = "motif" if doc.kind == "periodic" else "points"
+    n = len(raw[coords])
+    i = draw(st.integers(0, n - 1))
+    mutation = draw(
+        st.sampled_from(
+            ["field", "space", "kind", "ragged", "coordinate", "far", "list", "basis", "radius", "metadata", "labels"]
+        )
+    )
+    if mutation == "field":
+        name = draw(st.text(min_size=1).filter(lambda s: s not in raw and s != "patch_radius"))
+        raw[name] = draw(st.sampled_from([0, "x", None]))
+        return raw, name
+    if mutation == "space":
+        raw["space"] = draw(st.sampled_from(["euclidean3", "", "Sphere2", None, 2, True, ["euclidean2"], {}]))
+        return raw, "space"
+    if mutation == "kind":
+        unsupported = {"euclidean2": ["patch"], "sphere2": ["periodic", "patch"], "hyperbolic2": ["periodic"]}
+        raw["kind"] = draw(st.sampled_from(unsupported[doc.space] + ["torus", "", None, 3, False, ["finite"]]))
+        return raw, "kind"
+    if mutation == "ragged":
+        row = raw[coords][i]
+        raw[coords][i] = row[:-1] if draw(st.booleans()) else row + [0.0]
+        return raw, f"{coords}[{i}]"
+    if mutation == "coordinate":
+        raw[coords][i][draw(st.integers(0, len(raw[coords][i]) - 1))] = draw(st.sampled_from(_NOT_NUMBERS))
+        return raw, f"{coords}[{i}]"
+    if mutation == "far" and doc.space != "euclidean2":
+        # finite, but far off the sphere or outside the disk
+        raw[coords][i][0] = draw(st.sampled_from([1e200, -1e200, 1.7976931348623157e308, 10**30]))
+        return raw, f"{coords}[{i}]"
+    if mutation == "list":
+        raw[coords] = draw(st.sampled_from(_NOT_COORD_LISTS))
+        return raw, coords
+    if mutation == "basis" and doc.kind == "periodic":
+        j = draw(st.integers(0, 1))
+        defect = draw(st.sampled_from(["row", "rows", "value"]))
+        if defect == "row":
+            raw["basis"][j] = raw["basis"][j][:1]
+            return raw, f"basis[{j}]"
+        if defect == "rows":
+            raw["basis"] = raw["basis"] + [[1.0, 0.0]] if j else raw["basis"][:1]
+            return raw, "basis"
+        raw["basis"][j][0] = draw(st.sampled_from(_NOT_NUMBERS + [math.nan, math.inf]))
+        return raw, f"basis[{j}]"
+    if mutation == "radius":
+        if doc.kind == "patch":
+            raw["patch_radius"] = draw(st.sampled_from([math.nan, math.inf, -math.inf, True, "1.0", None, -1.0, 10**400]))
+        else:
+            raw["patch_radius"] = 1.0
+        return raw, "patch_radius"
+    if mutation == "metadata":
+        bad = draw(st.sampled_from([1, 0.5, None, True, ["a"], {"a": "b"}]))
+        raw["metadata"] = draw(st.sampled_from([{"note": bad}, {"labels": bad}, [], "labels", None]))
+        return raw, "metadata"
+    # a label count that does not match the points
+    raw["metadata"] = dict(raw.get("metadata", {}), labels=",".join(["a"] * (n + draw(st.integers(1, 3)))))
+    return raw, "metadata"
+
+
+@settings(max_examples=500, deadline=None)
+@given(_malformed())
+def test_malformed_documents_name_the_bad_field(case):
+    raw, field = case
+    text = json.dumps(raw)
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert err.value.field == field, str(err.value)

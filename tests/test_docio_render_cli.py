@@ -1,6 +1,7 @@
 """Document format round-trips and diagnostics, SVG determinism, marker
 classing and golden bytes, and end-to-end CLI exit codes."""
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -386,6 +387,24 @@ class TestRender:
         with pytest.raises(RenderError, match="finite"):
             RenderStyle(window=window).resolved_window(gen_triangular(1.0))
 
+    @pytest.mark.parametrize(
+        "style, message",
+        [
+            ({"size": 0}, "at least 1 pixel"),
+            ({"size": -5}, "at least 1 pixel"),
+            ({"size": math.nan}, "at least 1 pixel"),
+            ({"size": math.inf}, "at least 1 pixel"),
+            ({"marker_px": 0.0}, "finite and positive"),
+            ({"marker_px": -1.0}, "finite and positive"),
+            ({"marker_px": math.inf}, "finite and positive"),
+            ({"marker_px": math.nan}, "finite and positive"),
+        ],
+    )
+    def test_bad_sizes_are_refused(self, style, message):
+        with pytest.raises(RenderError, match=message):
+            RenderStyle(**style)
+        assert RenderStyle(size=1, marker_px=1e-3).size == 1
+
 
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -684,6 +703,20 @@ class TestCli:
         assert code == 3
         assert "internal error: ValueError: injected" in err
 
+    def test_classify_internal_failure_exits_three(self, capsys, tmp_path, monkeypatch):
+        # the package re-exports classify(), which shadows the module name
+        classify_module = importlib.import_module("balanced_configs.classify")
+
+        def broken(prim, tol):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(classify_module, "_classify_primitive", broken)
+        doc = tmp_path / "tri.json"
+        doc.write_text(serialize(document_from(gen_triangular(1.0))))
+        code, out, err = _run(capsys, ["classify", str(doc)])
+        assert (code, out) == (3, "")
+        assert "internal error: TypeError: injected" in err
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -702,6 +735,8 @@ class TestCli:
             (["classify", "{tmp}/cube.json"], "classify requires a euclidean2 document"),
             (["symmetry", "{tmp}/patch.json"], "symmetry requires a euclidean2 document"),
             (["lemmas", "--samples", "5"], "--samples must be at least 100"),
+            (["render", "{tmp}/two.json", "--size", "0"], "render size must be at least 1 pixel"),
+            (["render", "{tmp}/two.json", "--size", "-5"], "render size must be at least 1 pixel"),
         ],
     )
     def test_typed_refusals_exit_two(self, capsys, tmp_path, argv, message):
