@@ -683,9 +683,10 @@ def _period_denominator(frac, kmax, tol=1e-6):
 def primitive_periods(c, tol=DEFAULT_TOL):
     """Shrink the motif by absorbing any translation symmetry into the basis.
 
-    Candidate sub-periods are the differences motif[j] - motif[0] (a
-    translation symmetry carries motif[0] to some motif[j]), validated
-    together by one membership probe of every translated motif point.  A valid
+    Candidate sub-periods are the pairwise motif differences.  A period
+    carries motif[0] onto the motif, so one membership probe of motif[0]
+    translated by every candidate comes first, and only the candidates it
+    keeps have every other translated motif point probed.  A valid
     period t extends the lattice to L + Zt, whose basis is recovered through
     an integer Hermite reduction; the motif is then re-reduced and deduplicated
     in the finer lattice.  Iterates until no candidate survives.
@@ -693,18 +694,19 @@ def primitive_periods(c, tol=DEFAULT_TOL):
     cur = canonical_basis(c)
     while cur.k > 1:
         cart = cur.cartesian_motif()
-        # differences motif[j] - motif[0], j > 0; the first of each to 1e-9
-        # modulo the lattice, shortest first
-        diffs = np.mod(cur.motif[1:] - cur.motif[0], 1.0)
+        # differences motif[j] - motif[i], i != j, in (i, j) order; the first
+        # of each to 1e-9 modulo the lattice, shortest first
+        diffs = np.mod(cur.motif[None, :, :] - cur.motif[:, None, :], 1.0)[~np.eye(cur.k, dtype=bool)]
         keys = np.round(diffs * 1e9).astype(int) % int(1e9)
         cands = diffs[np.sort(np.unique(keys, axis=0, return_index=True)[1])]
         t = (cands[:, None, :] @ cur.basis)[:, 0]
         length = np.sqrt(_row_dots(t, t))
         order = np.argsort(length, kind="stable")
         cands, t, length = cands[order], t[order], length[order]
-        # one membership probe of every translated motif point, all candidates
-        shifted = (cart[None, :, :] + t[:, None, :]).reshape(-1, 2)
-        periodic = contains_many(cur, shifted, tol).reshape(len(t), cur.k).all(axis=1)
+        periodic = contains_many(cur, cart[0] + t, tol)
+        live = np.nonzero(periodic)[0]
+        shifted = (cart[None, 1:, :] + t[live, None, :]).reshape(-1, 2)
+        periodic[live] = contains_many(cur, shifted, tol).reshape(len(live), cur.k - 1).all(axis=1)
         for dfrac in cands[periodic & (length > tol.dedup_tol)]:
             q, pvec = _period_denominator(dfrac, cur.k)
             if q is None:

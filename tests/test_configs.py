@@ -322,15 +322,24 @@ class TestBoundedPeriodicQueries:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_primitive_periods_match_all_pairs_search(self, seed):
-        # near-periodic cells are left out: under the coarse tolerance their
-        # periods hold only to within dedup_tol, and a shorter one may then
-        # start at another motif point than motif[0]
-        for c in _random_cells(seed, 40)[::2] + _families_under_similarities(seed):
+        # under the coarse tolerance the near-periodic cells have periods
+        # that hold only to within dedup_tol, some of them between motif
+        # points other than motif[0]
+        for c in _random_cells(seed, 40) + _families_under_similarities(seed):
             for tol in _TOLERANCES:
                 got = primitive_periods(c, tol)
                 ref = _reference_primitive_periods(PeriodicConfig(c.basis, c.motif), tol)
                 assert got.basis.tobytes() == ref.basis.tobytes()
                 assert got.motif.tobytes() == ref.motif.tobytes()
+
+    def test_period_between_later_motif_points(self):
+        # motif[0] lies 0.01 off the unit period, within the coarse dedup_tol,
+        # so only motif[2] - motif[1] is a rational candidate
+        c = PeriodicConfig([[3.0, 0.0], [0.0, 1.0]], [(0.01 / 3, 0.0), (1 / 3, 0.0), (2 / 3, 0.0)])
+        got = primitive_periods(c, _TOLERANCES[2])
+        assert got.k == 1
+        ref = _reference_primitive_periods(PeriodicConfig(c.basis, c.motif), _TOLERANCES[2])
+        assert (got.basis.tobytes(), got.motif.tobytes()) == (ref.basis.tobytes(), ref.motif.tobytes())
 
     def test_bound_is_padded_for_rounding(self):
         # at scale 1e8 one ulp of |v1| exceeds the fine class_tol, and the
