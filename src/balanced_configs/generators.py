@@ -4,10 +4,12 @@ Planar families are returned as PeriodicConfig (lattice + motif), finite ones
 as FinitePointSet, hyperbolic tilings as PatchConfig windows whose
 patch_radius certifies completeness of the window.
 
-The hyperbolic builders expand tiles nearest-frontier-first until the in-radius
-of the tile union reaches a depth-proportional target, so the certified radius
-grows linearly with depth regardless of the combinatorial branching of the
-tiling.
+Both hyperbolic families grow through one core, _grow, which expands tiles
+nearest-frontier-first until the in-radius of the tile union reaches a
+depth-proportional target, so the certified radius grows linearly with depth
+regardless of the combinatorial branching of the tiling.  A family supplies
+only its move across a frontier edge (a reflection, or a half-turn about the
+edge's midpoint) and the order in which it pushes a tile's edges.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .configs import FinitePointSet, PatchConfig, PeriodicConfig
-from .errors import ParameterDomainError
+from .errors import DegenerateDirectionError, ParameterDomainError
 from .geometry import as_vec
 from .hyperbolic import (
     _half_turn,
@@ -383,83 +385,134 @@ def _triangle_sides(angle_a, angle_b, angle_c):
     return side_a, side_b, side_c
 
 
-class _Tiling:
-    """Internal result of a tiling build: interned points plus tile triples."""
+# The roles of the two endpoints of an edge of class k, in role order.
+_ENDS = ((1, 2), (0, 2), (0, 1))
 
-    __slots__ = ("verts", "vtypes", "tiles", "patch_radius", "sides", "mids", "mid_classes")
 
-    def __init__(self, verts, vtypes, tiles, patch_radius, sides, mids=None, mid_classes=None):
-        self.verts = verts
-        self.vtypes = vtypes
-        self.tiles = tiles
-        self.patch_radius = patch_radius
-        self.sides = sides
-        self.mids = mids
-        self.mid_classes = mid_classes
+def _grow(angles, depth, turn, swap, order):
+    """Tile the disk by the triangle with the given angles, crossing the open
+    edge nearest the origin first, until that edge is depth * 2/3 * (longest
+    side) away; its distance, patch_radius, is the in-radius of the tiles.
+
+    A tile is its vertex indices in role order (the vertices of angles[0],
+    angles[1], angles[2]); the seed has role 0 at the origin and role 1 on
+    the positive x-axis.  An edge's class is the role opposite it; the edge
+    keeps its first tile and its midpoint, between its ends in role order.
+    Crossing edge (u, v), u < v, turn(pos[u], pos[v], mid, z) moves the
+    opposite vertex z, which keeps its role; swap says the move exchanges the
+    roles of u and v.  order(tile, edge) lists the classes of a tile's edges
+    in push order (edge is the crossed edge, None for the seed), which breaks
+    distance ties.  Returns (vertices, roles, midpoints, midpoint classes,
+    patch_radius), roles[i] being vertex i's role in the tile that made it.
+    """
+    sides = _triangle_sides(*angles)
+    stop = depth * _DEPTH_STEP_FRACTION * max(sides)
+
+    store = _PointStore()
+    for z in (0j, complex(euclid_radius(sides[2]), 0.0), euclid_radius(sides[1]) * cmath.exp(1j * angles[0])):
+        store.intern(z)
+    pos = store.pos
+    rad = [radial_dist(abs(z)) for z in pos]  # distance of each vertex from the origin
+    roles = [0, 1, 2]
+    mstore = _PointStore()
+    mid_classes = []
+
+    tiles = {frozenset((0, 1, 2)): (0, 1, 2)}
+    # edge key (u, v) with u < v -> [open, first tile, class, midpoint]
+    edges = {}
+    heap = []
+    tick = itertools.count()
+
+    def push(tile, classes):
+        for k in classes:
+            i, j = _ENDS[k]
+            a, b = tile[i], tile[j]
+            ek = (a, b) if a < b else (b, a)
+            entry = edges.get(ek)
+            if entry is not None:
+                if entry[2] != k:
+                    raise RuntimeError("inconsistent edge class in hyperbolic tiling")
+                entry[0] = False
+                continue
+            mid = _midpoint(pos[a], pos[b])
+            midx, created = mstore.intern(mid)
+            if created:
+                mid_classes.append(k)
+            elif mid_classes[midx] != k:
+                raise RuntimeError("edge-midpoint class collision in hyperbolic tiling")
+            edges[ek] = [True, tile, k, mid]
+            u, v = ek
+            heapq.heappush(heap, (_segment_dist(pos[u], pos[v], min(rad[u], rad[v])), next(tick), u, v))
+
+    patch_radius = 0.0
+    try:
+        push((0, 1, 2), order((0, 1, 2), None))
+        while heap:
+            dist, _, u, v = heapq.heappop(heap)
+            entry = edges[(u, v)]
+            if not entry[0]:
+                continue
+            if dist >= stop:
+                patch_radius = dist
+                break
+            entry[0] = False
+            _, tile, k, mid = entry
+            nidx, created = store.intern(turn(pos[u], pos[v], mid, pos[tile[k]]))
+            if created:
+                rad.append(radial_dist(abs(pos[nidx])))
+                roles.append(k)
+            new_tile = list(tile)
+            new_tile[k] = nidx
+            if swap:
+                i, j = _ENDS[k]
+                new_tile[i], new_tile[j] = tile[j], tile[i]
+            new_tile = tuple(new_tile)
+            key = frozenset(new_tile)
+            prev = tiles.get(key)
+            if prev is not None:
+                if prev != new_tile:
+                    raise RuntimeError("inconsistent tile roles in hyperbolic tiling")
+                continue
+            tiles[key] = new_tile
+            push(new_tile, order(new_tile, (u, v)))
+    except DegenerateDirectionError as exc:
+        raise ParameterDomainError(
+            f"depth {depth} reaches tiles too close to the disk boundary to resolve: {exc}"
+        ) from exc
+    return pos, roles, mstore.pos, mid_classes, patch_radius
+
+
+def _reflect_move(a, b, mid, z):
+    return _reflect_through(a, b, z)
+
+
+def _half_turn_move(a, b, mid, z):
+    return _half_turn(mid, z)
+
+
+def _reflection_order(tile, edge):
+    """The seed's edges opposite p, q, r; then the edge through the crossed
+    edge's first end before the one through its second."""
+    if edge is None:
+        return (0, 1, 2)
+    u, v = edge
+    return (tile.index(v), tile.index(u))
+
+
+def _rotation_order(tile, edge):
+    return (2, 1, 0)  # ab, ac, bc
 
 
 @lru_cache(maxsize=None)
 def _build_triangle_group(p, q, r, depth):
-    angle_p, angle_q, angle_r = math.pi / p, math.pi / q, math.pi / r
-    side_a, side_b, side_c = _triangle_sides(angle_p, angle_q, angle_r)
-    stop = depth * _DEPTH_STEP_FRACTION * max(side_a, side_b, side_c)
+    # a reflection keeps every vertex's role, so a vertex's role is its type
+    return _grow((math.pi / p, math.pi / q, math.pi / r), depth, _reflect_move, False, _reflection_order)
 
-    store = _PointStore()
-    vtypes = []
-    for z, t in (
-        (0j, "p"),
-        (complex(euclid_radius(side_c), 0.0), "q"),
-        (euclid_radius(side_b) * cmath.exp(1j * angle_p), "r"),
-    ):
-        store.intern(z)
-        vtypes.append(t)
-    pos = store.pos
-    rad = [radial_dist(abs(z)) for z in pos]  # distance of each vertex from the origin
 
-    tiles = {frozenset((0, 1, 2)): (0, 1, 2)}
-    # edge key (i, j) with i < j -> [adjacent tile count, opposite vertex]
-    edges = {}
-    heap = []
-    tick = itertools.count()
-    for u, v, opp in ((1, 2, 0), (0, 2, 1), (0, 1, 2)):
-        edges[(u, v)] = [1, opp]
-        heapq.heappush(heap, (_segment_dist(pos[u], pos[v], min(rad[u], rad[v])), next(tick), u, v))
-
-    patch_radius = 0.0
-    while heap:
-        dist, _, u, v = heapq.heappop(heap)
-        entry = edges[(u, v)]
-        if entry[0] >= 2:
-            continue
-        if dist >= stop:
-            patch_radius = dist
-            break
-        opp = entry[1]
-        entry[0] = 2
-        nidx, created = store.intern(_reflect_through(pos[u], pos[v], pos[opp]))
-        if created:
-            vtypes.append(vtypes[opp])
-            rad.append(radial_dist(abs(pos[nidx])))
-        key = frozenset((u, v, nidx))
-        if key in tiles:
-            continue
-        tiles[key] = tuple(sorted((u, v, nidx)))
-        for a, b, o in ((u, nidx, v), (v, nidx, u)):
-            ek = (a, b) if a < b else (b, a)
-            existing = edges.get(ek)
-            if existing is None:
-                edges[ek] = [1, o]
-                end = min(rad[a], rad[b])
-                heapq.heappush(heap, (_segment_dist(pos[a], pos[b], end), next(tick), ek[0], ek[1]))
-            else:
-                existing[0] = 2
-    return _Tiling(
-        verts=list(pos),
-        vtypes=tuple(vtypes),
-        tiles=tuple(tiles.values()),
-        patch_radius=patch_radius,
-        sides=(side_a, side_b, side_c),
-    )
+@lru_cache(maxsize=None)
+def _build_rotation_tiling(alpha, beta, gamma, m, depth):
+    # a half-turn about an edge's midpoint swaps the edge's endpoints
+    return _grow((alpha, beta, gamma), depth, _half_turn_move, True, _rotation_order)
 
 
 def _disk_rows(zs, selected):
@@ -489,112 +542,12 @@ def gen_hyp_triangle_group(params, flags):
             "triangle group requires 1/p + 1/q + 1/r < 1; "
             f"got ({p}, {q}, {r})"
         )
-    tiling = _build_triangle_group(p, q, r, params.depth)
-    selected = set()
-    if flags.p_centers:
-        selected.add("p")
-    if flags.q_centers:
-        selected.add("q")
-    if flags.r_centers:
-        selected.add("r")
-    vtypes = np.array(tiling.vtypes)
-    pts, keep = _disk_rows(tiling.verts, np.isin(vtypes, sorted(selected)))
-    labels = tuple(t + "_center" for t in vtypes[keep].tolist())
-    return PatchConfig(pts, tiling.patch_radius, labels=labels)
-
-
-@lru_cache(maxsize=None)
-def _build_rotation_tiling(alpha, beta, gamma, m, depth):
-    side_a, side_b, side_c = _triangle_sides(alpha, beta, gamma)
-    stop = depth * _DEPTH_STEP_FRACTION * max(side_a, side_b, side_c)
-
-    store = _PointStore()
-    # seed: alpha-vertex at the origin, beta-vertex on the positive x-axis
-    seed = (0j, complex(euclid_radius(side_c), 0.0), euclid_radius(side_b) * cmath.exp(1j * alpha))
-    for z in seed:
-        store.intern(z)
-    pos = store.pos
-    rad = [radial_dist(abs(z)) for z in pos]  # distance of each vertex from the origin
-
-    mstore = _PointStore()
-    mid_classes = []
-
-    def intern_mid(z, cls):
-        idx, created = mstore.intern(z)
-        if created:
-            mid_classes.append(cls)
-        elif mid_classes[idx] != cls:
-            raise RuntimeError("edge-midpoint class collision in rotation tiling")
-        return idx
-
-    # tiles keyed by vertex-index set, value = (alpha-role, beta-role, gamma-role)
-    tiles = {frozenset((0, 1, 2)): (0, 1, 2)}
-    # edge key -> [count, opposite vertex, midpoint, class, role-ordered pair]
-    edges = {}
-    heap = []
-    tick = itertools.count()
-
-    def add_edge(i_first, i_second, opp, cls):
-        ek = (i_first, i_second) if i_first < i_second else (i_second, i_first)
-        existing = edges.get(ek)
-        if existing is not None:
-            if existing[3] != cls:
-                raise RuntimeError("inconsistent edge class in rotation tiling")
-            existing[0] += 1
-            return
-        mid = _midpoint(pos[i_first], pos[i_second])
-        intern_mid(mid, cls)
-        edges[ek] = [1, opp, mid, cls, (i_first, i_second)]
-        u, v = ek
-        heapq.heappush(heap, (_segment_dist(pos[u], pos[v], min(rad[u], rad[v])), next(tick), u, v))
-
-    add_edge(0, 1, 2, "ab")
-    add_edge(0, 2, 1, "ac")
-    add_edge(1, 2, 0, "bc")
-
-    patch_radius = 0.0
-    while heap:
-        dist, _, u, v = heapq.heappop(heap)
-        entry = edges[(u, v)]
-        if entry[0] >= 2:
-            continue
-        if dist >= stop:
-            patch_radius = dist
-            break
-        _, opp, mid, cls, (first, second) = entry
-        nidx, created = store.intern(_half_turn(as_disk_point(mid), pos[opp]))
-        if created:
-            rad.append(radial_dist(abs(pos[nidx])))
-        # a half-turn swaps the popped edge's endpoints and carries the
-        # opposite vertex to the new one; roles follow the moved vertices
-        if cls == "ab":
-            new_tile = (second, first, nidx)
-        elif cls == "ac":
-            new_tile = (second, nidx, first)
-        else:
-            new_tile = (nidx, second, first)
-        key = frozenset(new_tile)
-        prev = tiles.get(key)
-        if prev is not None:
-            if prev != new_tile:
-                raise RuntimeError("inconsistent tile roles in rotation tiling")
-            entry[0] = 2
-            continue
-        tiles[key] = new_tile
-        ia, ib, ic = new_tile
-        # the popped edge is among these three and gets its second tile here
-        add_edge(ia, ib, ic, "ab")
-        add_edge(ia, ic, ib, "ac")
-        add_edge(ib, ic, ia, "bc")
-    return _Tiling(
-        verts=list(pos),
-        vtypes=None,
-        tiles=tuple(tiles.values()),
-        patch_radius=patch_radius,
-        sides=(side_a, side_b, side_c),
-        mids=list(mstore.pos),
-        mid_classes=tuple(mid_classes),
-    )
+    verts, roles, _, _, patch_radius = _build_triangle_group(p, q, r, params.depth)
+    roles = np.array(roles)
+    wanted = np.array([flags.p_centers, flags.q_centers, flags.r_centers])
+    pts, keep = _disk_rows(verts, wanted[roles])
+    labels = tuple(("p_center", "q_center", "r_center")[k] for k in roles[keep].tolist())
+    return PatchConfig(pts, patch_radius, labels=labels)
 
 
 def gen_hyp_rotation_tiling(params, flags):
@@ -603,21 +556,24 @@ def gen_hyp_rotation_tiling(params, flags):
     The seed triangle has angles alpha, beta, gamma summing to 2*pi/m, with
     the alpha-vertex at the origin; around every vertex of the tiling the
     angles follow the pattern alpha, beta, gamma repeated m times.  Expansion
-    and the patch_radius guarantee follow the same nearest-frontier scheme as
-    the reflection tilings.  mid_xy selects the midpoints of edges joining the
+    and the patch_radius guarantee are those of the reflection tilings: both
+    grow through _grow.  mid_xy selects the midpoints of edges joining the
     x-angle and y-angle vertices of each tile.
     """
-    tiling = _build_rotation_tiling(params.alpha, params.beta, params.gamma, params.m, params.depth)
+    verts, _, mids, mid_classes, patch_radius = _build_rotation_tiling(
+        params.alpha, params.beta, params.gamma, params.m, params.depth
+    )
     pieces = [np.zeros((0, 2))]
     labels = []
     if flags.vertices:
-        pts, _ = _disk_rows(tiling.verts, True)
+        pts, _ = _disk_rows(verts, True)
         pieces.append(pts)
         labels += ["vertex"] * len(pts)
-    mid_classes = np.array(tiling.mid_classes)
-    for cls, wanted in (("ab", flags.mid_ab), ("ac", flags.mid_ac), ("bc", flags.mid_bc)):
+    mid_classes = np.array(mid_classes)
+    # an edge's class is the role of the vertex opposite it: ab is class 2
+    for k, wanted in ((2, flags.mid_ab), (1, flags.mid_ac), (0, flags.mid_bc)):
         if wanted:
-            pts, _ = _disk_rows(tiling.mids, mid_classes == cls)
+            pts, _ = _disk_rows(mids, mid_classes == k)
             pieces.append(pts)
-            labels += ["mid_" + cls] * len(pts)
-    return PatchConfig(np.vstack(pieces), tiling.patch_radius, labels=tuple(labels))
+            labels += ["mid_" + ("bc", "ac", "ab")[k]] * len(pts)
+    return PatchConfig(np.vstack(pieces), patch_radius, labels=tuple(labels))

@@ -9,8 +9,10 @@ Each public function validates its inputs once with as_disk_point and then
 calls a private core (_translate, _dist, _untranslate, _midpoint, _half_turn,
 _reflect_through, _segment_dist, ...) that takes complex numbers already
 known to lie in the open disk and does no checking of its own.  Every
-formula lives in its core only; the tiling builders call the cores directly
-and validate each point once, when it is created.  _dist, the one disk
+formula lives in its core only; the one tiling growth core, generators._grow,
+calls the cores directly and validates each point once, when it is created.
+_geodesic raises DegenerateDirectionError for two points so close near the
+boundary that rounding leaves no circle through them.  _dist, the one disk
 distance, is accurate up to the boundary and also takes numpy arrays;
 configs filters its neighbour queries by it.
 """
@@ -182,8 +184,10 @@ def _geodesic(a, b, dedup_tol=1e-9):
     cx = (ra * b.imag - rb * a.imag) / det
     cy = (rb * a.real - ra * b.real) / det
     c = complex(cx, cy)
-    r = math.sqrt(abs(c) ** 2 - 1.0)
-    return "arc", 0j, c, r
+    r2 = abs(c) ** 2 - 1.0
+    if not r2 > 0.0:  # rounding of points 1e-6 apart near the boundary
+        raise DegenerateDirectionError("the points are too close to resolve the geodesic through them")
+    return "arc", 0j, c, math.sqrt(r2)
 
 
 def reflect_through(a, b, z):

@@ -737,6 +737,10 @@ class TestCli:
             (["lemmas", "--samples", "5"], "--samples must be at least 100"),
             (["render", "{tmp}/two.json", "--size", "0"], "render size must be at least 1 pixel"),
             (["render", "{tmp}/two.json", "--size", "-5"], "render size must be at least 1 pixel"),
+            (
+                ["generate", "--family", "rotation-tiling", "--angles", "1,1,28", "--order", "12", "--depth", "2"],
+                "depth 2 reaches tiles too close to the disk boundary",
+            ),
         ],
     )
     def test_typed_refusals_exit_two(self, capsys, tmp_path, argv, message):

@@ -18,6 +18,11 @@ from balanced_configs.docio import document_from, serialize
 from balanced_configs.errors import InvalidPointError, ParameterDomainError
 from balanced_configs.generators import (
     _PointStore,
+    _grow,
+    _half_turn_move,
+    _reflect_move,
+    _reflection_order,
+    _rotation_order,
     RotationTilingFlags,
     RotationTilingParams,
     SubsetFlags,
@@ -381,3 +386,48 @@ class TestGoldenDocuments:
         )
         assert config.n == 137
         assert self._sha(config) == "2c7588cc5a1beaab4380e17f8d9c8d3649190e39a443612fdb1b658030ae48e6"
+
+    @pytest.mark.parametrize(
+        "pqr, depth, n, sha",
+        [
+            # the edge popped at the stop distance ties with other frontier edges
+            ((4, 4, 4), 3, 149, "fa66eae6726ed3b468e2f5eb12473959de6ea0b7790417f41bb5c61ef5d50f42"),
+            ((2, 3, 8), 6, 603, "0ea7748f31ad93cc8a5f3bf8e159bde9ec693f20c71cd83af39c6d78ec611c6c"),
+            ((3, 3, 5), 2, 43, "bca8d41b2a2be15db039788cf47a1891958f3a80b3b591eddfed6de80e7c2be4"),
+        ],
+    )
+    def test_more_triangle_groups(self, pqr, depth, n, sha):
+        config = gen_hyp_triangle_group(TriangleGroupParams(*pqr, depth), TriangleGroupFlags(True, True, True))
+        assert config.n == n
+        assert self._sha(config) == sha
+
+    @pytest.mark.parametrize(
+        "degrees, m, depth, n, sha",
+        [
+            ((20, 30, 40), 4, 3, 4677, "1227c96886027c5e6d9b99abc3f6485c35ec0d148bd546ae317ad0fc24e90e38"),
+            ((40, 40, 40), 3, 5, 7894, "14552d395a4bb463dd1548d43bdbcc2df1401aedc1ac19a45cfd5d06a49c6c46"),
+        ],
+    )
+    def test_more_rotation_tilings(self, degrees, m, depth, n, sha):
+        params = RotationTilingParams(*(math.radians(a) for a in degrees), m, depth)
+        config = gen_hyp_rotation_tiling(params, RotationTilingFlags(True, True, True, True))
+        assert config.n == n
+        assert self._sha(config) == sha
+
+
+class TestGrowthChecks:
+    """The growth core checks that every tile, edge and midpoint it reaches
+    twice agrees with itself; a move that gets the roles wrong is caught."""
+
+    @pytest.mark.parametrize(
+        "angles, turn, swap, order",
+        [
+            # a reflection keeps the roles of the crossed edge's endpoints
+            ((math.pi / 2, math.pi / 3, math.pi / 7), _reflect_move, True, _reflection_order),
+            # a half-turn exchanges them
+            (tuple(math.radians(a) for a in (30, 40, 50)), _half_turn_move, False, _rotation_order),
+        ],
+    )
+    def test_wrong_role_swap_raises(self, angles, turn, swap, order):
+        with pytest.raises(RuntimeError, match="inconsistent edge class"):
+            _grow(angles, 2, turn, swap, order)

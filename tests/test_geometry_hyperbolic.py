@@ -295,3 +295,13 @@ class TestPublicPrimitivesValidate:
         with pytest.raises(DegenerateDirectionError):
             segment_dist_to_origin(0.3, 0.3 + 1e-10)
         assert segment_dist_to_origin(0.3, 0.3) == pytest.approx(radial_dist(0.3), abs=0.0)
+
+    def test_unresolvable_geodesic_near_the_boundary_raises(self):
+        # 1.06e-6 apart with 1 - |z| ~ 1e-6: rounding leaves no positive
+        # radius for the orthogonal circle through them
+        a = 0.8700950668540577 + 0.49288190739489807j
+        b = 0.8700952245447933 + 0.4928808568946632j
+        with pytest.raises(DegenerateDirectionError):
+            geodesic_through(a, b)
+        with pytest.raises(DegenerateDirectionError):
+            segment_dist_to_origin(a, b)
