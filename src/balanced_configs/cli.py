@@ -47,7 +47,7 @@ from .generators import (
 from .inequalities import SWEEP_MIN_SAMPLES, check_angle_bound_60_90, run_catalog
 from .render import RenderStyle, render_svg
 from .verify import VerifyParams, verify_hyperbolic, verify_plane, verify_sphere
-from .geometry import Tolerance
+from .geometry import DEFAULT_TOL, Tolerance
 
 _SUBSET_NAMES = {"vertices": "vertices", "midpoints": "edge_midpoints", "centers": "face_centers"}
 _TG_NAMES = {"p_centers": "p_centers", "q_centers": "q_centers", "r_centers": "r_centers"}
@@ -148,7 +148,9 @@ def _jsonable(obj):
 
 
 def _tolerance(args):
-    return Tolerance(class_tol=args.class_tol, residual_tol=args.residual_tol, dedup_tol=1e-9)
+    # classify and symmetry have no --residual-tol; they never read it
+    residual_tol = getattr(args, "residual_tol", DEFAULT_TOL.residual_tol)
+    return Tolerance(class_tol=args.class_tol, residual_tol=residual_tol, dedup_tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +326,7 @@ def _cmd_render(args):
 # parser
 
 
-def _add_tolerance_flags(sub):
-    sub.add_argument("--max-radius", type=float, default=6.0,
-                     help="verification cutoff (default 6)")
-    sub.add_argument("--residual-tol", type=float, default=1e-9,
-                     help="balance residual tolerance (default 1e-9)")
+def _add_class_tol(sub):
     sub.add_argument("--class-tol", type=float, default=1e-6,
                      help="distance class separation tolerance (default 1e-6)")
 
@@ -372,17 +370,21 @@ def build_parser():
     ver.add_argument("--mode", default="both",
                      choices=["scalar_multiple", "tangent_projection", "both"],
                      help="spherical residual mode (default both)")
-    _add_tolerance_flags(ver)
+    ver.add_argument("--max-radius", type=float, default=6.0,
+                     help="verification cutoff (default 6)")
+    ver.add_argument("--residual-tol", type=float, default=1e-9,
+                     help="balance residual tolerance (default 1e-9)")
+    _add_class_tol(ver)
     ver.set_defaults(func=_cmd_verify)
 
     cls = sub.add_parser("classify", help="identify the configuration type")
     cls.add_argument("input")
-    _add_tolerance_flags(cls)
+    _add_class_tol(cls)
     cls.set_defaults(func=_cmd_classify)
 
     sym = sub.add_parser("symmetry", help="check group-balancedness")
     sym.add_argument("input")
-    _add_tolerance_flags(sym)
+    _add_class_tol(sym)
     sym.set_defaults(func=_cmd_symmetry)
 
     lem = sub.add_parser("lemmas", help="run the numeric inequality catalog")
@@ -390,7 +392,6 @@ def build_parser():
                      help="angle-bound sweep sample count (default 256)")
     lem.add_argument("--match-tol", type=float, default=0.005,
                      help="tolerance against printed reference values (default 0.005)")
-    _add_tolerance_flags(lem)
     lem.set_defaults(func=_cmd_lemmas)
 
     ren = sub.add_parser("render", help="render a document as SVG")

@@ -291,8 +291,9 @@ def serialize(doc):
 def to_runtime(doc):
     """Build the runtime configuration object for a parsed document.
 
-    The container's own checks that parse_config does not make (motif points
-    distinct modulo the lattice) raise ValidationError.
+    The container's own checks that parse_config does not make (basis rows
+    independent relative to their length, motif points distinct modulo the
+    lattice) raise ValidationError.
     """
     labels = doc.labels
     try:
@@ -302,7 +303,11 @@ def to_runtime(doc):
             return PatchConfig(doc.points, doc.patch_radius, labels=labels)
         return FinitePointSet(_RUNTIME_SPACE[doc.space], doc.points, labels=labels)
     except InvalidPointError as exc:
-        raise ValidationError(str(exc), field="motif" if doc.kind == "periodic" else "points") from exc
+        field = "points"
+        if doc.kind == "periodic":
+            # PeriodicConfig's basis refusals all begin with the word basis
+            field = "basis" if str(exc).startswith("basis") else "motif"
+        raise ValidationError(str(exc), field=field) from exc
 
 
 def document_from(config, metadata=None):

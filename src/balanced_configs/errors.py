@@ -5,10 +5,6 @@ class InvalidPointError(ValueError):
     """A coordinate fails the constraints of its geometry (non-unit sphere vector, point outside the open disk, non-finite component)."""
 
 
-class InvalidGeodesicError(ValueError):
-    """A geodesic descriptor does not describe a geodesic of the disk model."""
-
-
 class DegenerateDirectionError(ValueError):
     """No direction can be defined because two points coincide (within tolerance)."""
 
@@ -28,7 +24,7 @@ class InsufficientPatchError(Exception):
 class ParameterDomainError(ValueError):
     """Parameters fall outside their domain: a generator's size, count, kind or
     flags, hyperbolic tiling parameters outside the hyperbolic regime, or a
-    tolerance or verification cutoff that is not positive."""
+    tolerance or verification cutoff that is not finite and positive."""
 
 
 class SceneError(RuntimeError):

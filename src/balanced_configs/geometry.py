@@ -1,22 +1,22 @@
-"""Tolerance policy and metric primitives for the plane and the unit sphere.
+"""Tolerance policy and point coercion shared by every geometry.
 
-All functions are pure and operate on plain floats / numpy arrays.  The
-hyperbolic (Poincare disk) primitives live in ``hyperbolic.py``.
+The plane and chordal sphere distances live in the neighbour kernel of
+``configs``, the sphere's tangent projection in ``verify.verify_sphere``,
+and the Poincare disk maps in ``hyperbolic``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidPointError, ParameterDomainError
 
-UNIT_NORM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numeric tolerances used throughout.
+    """Numeric tolerances used throughout, each finite and positive.
 
     class_tol   separates distance classes (single-linkage gap threshold),
     residual_tol bounds acceptable balance residual norms,
@@ -28,10 +28,10 @@ class Tolerance:
     dedup_tol: float = 1e-9
 
     def __post_init__(self):
-        if not (0.0 < self.dedup_tol < self.class_tol):
-            raise ParameterDomainError("tolerances must satisfy 0 < dedup_tol < class_tol")
-        if self.residual_tol <= 0.0:
-            raise ParameterDomainError("residual_tol must be positive")
+        if not (0.0 < self.dedup_tol < self.class_tol < math.inf):
+            raise ParameterDomainError("tolerances must satisfy 0 < dedup_tol < class_tol and be finite")
+        if not (0.0 < self.residual_tol < math.inf):
+            raise ParameterDomainError("residual_tol must be positive and finite")
 
 
 DEFAULT_TOL = Tolerance()
@@ -45,43 +45,3 @@ def as_vec(p, dim):
     if not np.all(np.isfinite(arr)):
         raise InvalidPointError("coordinates must be finite")
     return arr
-
-
-def euclid_dist(a, b):
-    """Euclidean distance between two plane points."""
-    return float(np.linalg.norm(as_vec(a, 2) - as_vec(b, 2)))
-
-
-def rotate_plane(p, center, angle):
-    """Rotate a plane point about a center by the given angle (radians, counterclockwise)."""
-    p = as_vec(p, 2)
-    c = as_vec(center, 2)
-    ca, sa = np.cos(angle), np.sin(angle)
-    d = p - c
-    return c + np.array([ca * d[0] - sa * d[1], sa * d[0] + ca * d[1]])
-
-
-def require_unit(v, tol=UNIT_NORM_TOL):
-    """Return v as a 3-vector after checking it lies on the unit sphere."""
-    arr = as_vec(v, 3)
-    n = float(np.linalg.norm(arr))
-    if abs(n - 1.0) > tol:
-        raise InvalidPointError(f"sphere point must have unit norm, got |v| = {n!r}")
-    return arr
-
-
-def sphere_dist(a, b):
-    """Chordal distance between two unit vectors (range [0, 2]).
-
-    The chordal distance is a strictly monotone function of the geodesic
-    (great-circle) distance, so distance classes built from it coincide with
-    geodesic distance classes.
-    """
-    return float(np.linalg.norm(require_unit(a) - require_unit(b)))
-
-
-def sphere_tangent_projection(base, target):
-    """Project target onto the tangent plane of the sphere at base."""
-    base = require_unit(base)
-    target = as_vec(target, 3)
-    return target - float(np.dot(target, base)) * base

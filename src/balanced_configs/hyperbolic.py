@@ -5,33 +5,26 @@ circular arcs meeting the unit circle at right angles.  The model is
 conformal, so angles (and in particular unit tangent directions at a point
 translated to the origin) agree with their Euclidean counterparts.
 
-Each public function validates its inputs once with as_disk_point and then
-calls a private core (_translate, _dist, _untranslate, _midpoint, _half_turn,
-_reflect_through, _segment_dist, ...) that takes complex numbers already
-known to lie in the open disk and does no checking of its own.  Every
-formula lives in its core only; the one tiling growth core, generators._grow,
-calls the cores directly and validates each point once, when it is created.
-_geodesic raises DegenerateDirectionError for two points so close near the
-boundary that rounding leaves no circle through them.  _dist, the one disk
-distance, is accurate up to the boundary and also takes numpy arrays;
-configs filters its neighbour queries by it.
+The public functions are as_disk_point, which coerces and checks one point,
+and hyp_dist, hyp_log_dir, radial_dist and euclid_radius.  Every other map is
+a private core (_translate, _untranslate, _dist, _log_dir, _midpoint,
+_half_turn, _reflect_through, _geodesic, _segment_dist) that takes complex
+numbers already known to lie in the open disk and does no checking of its
+own.  Every formula lives in its core only; the one tiling growth core,
+generators._grow, calls the cores directly and validates each point once,
+when it is created.  _geodesic raises DegenerateDirectionError for two points
+so close near the boundary that rounding leaves no circle through them.
+_dist, the one disk distance, is accurate up to the boundary and also takes
+numpy arrays; configs filters its neighbour queries by it.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDirectionError,
-    InvalidGeodesicError,
-    InvalidPointError,
-)
-
-# Orthogonality slack accepted when validating arc descriptors.
-_GEODESIC_TOL = 1e-9
+from .errors import DegenerateDirectionError, InvalidPointError
 
 
 def as_disk_point(p):
@@ -106,70 +99,16 @@ def _half_turn(center, z):
     return _untranslate(center, -_translate(center, z))
 
 
-def mobius_translate(center, z):
-    """The disk automorphism sending center to the origin, applied to z."""
-    return _translate(as_disk_point(center), as_disk_point(z))
-
-
-def mobius_untranslate(center, w):
-    """Inverse of mobius_translate(center, .)."""
-    return _untranslate(as_disk_point(center), as_disk_point(w))
-
-
 def hyp_log_dir(base, target, dedup_tol=1e-9):
     """Unit initial direction (as a complex number in the chart at base
     translated to the origin) of the geodesic from base to target."""
     return _log_dir(as_disk_point(base), as_disk_point(target), dedup_tol)
 
 
-def hyp_midpoint(a, b):
-    """Hyperbolic midpoint of the geodesic segment from a to b."""
-    return _midpoint(as_disk_point(a), as_disk_point(b))
-
-
-def half_turn(center, z):
-    """Rotate z by pi about a disk point."""
-    return _half_turn(as_disk_point(center), as_disk_point(z))
-
-
-def rotate_about(center, angle, z):
-    """Rotate z about a disk point by the given angle."""
-    c = as_disk_point(center)
-    return _untranslate(c, cmath.exp(1j * angle) * _translate(c, as_disk_point(z)))
-
-
-@dataclass(frozen=True)
-class Geodesic:
-    """Descriptor of a full geodesic: a diameter with a unit direction, or an
-    arc of the Euclidean circle |z - center| = radius orthogonal to the unit
-    circle (|center|^2 = 1 + radius^2)."""
-
-    kind: str  # "diameter" or "arc"
-    direction: complex = 0j  # diameter only, unit modulus
-    center: complex = 0j  # arc only, |center| > 1
-    radius: float = 0.0  # arc only
-
-    def validate(self):
-        if self.kind == "diameter":
-            if abs(abs(self.direction) - 1.0) > _GEODESIC_TOL:
-                raise InvalidGeodesicError("diameter direction must be a unit complex number")
-        elif self.kind == "arc":
-            if self.radius <= 0.0:
-                raise InvalidGeodesicError("arc radius must be positive")
-            if abs(abs(self.center) ** 2 - (1.0 + self.radius**2)) > _GEODESIC_TOL * (1.0 + self.radius**2):
-                raise InvalidGeodesicError("arc must meet the unit circle at a right angle")
-        else:
-            raise InvalidGeodesicError(f"unknown geodesic kind {self.kind!r}")
-        return self
-
-
-def geodesic_through(a, b, dedup_tol=1e-9):
-    """The unique geodesic through two distinct disk points."""
-    return Geodesic(*_geodesic(as_disk_point(a), as_disk_point(b), dedup_tol))
-
-
 def _geodesic(a, b, dedup_tol=1e-9):
-    """The fields (kind, direction, center, radius) of geodesic_through."""
+    """The geodesic through two distinct points as (kind, direction, center,
+    radius): a diameter with a unit direction, or an arc of the circle
+    |z - center| = radius orthogonal to the unit circle."""
     if abs(a - b) <= dedup_tol:
         raise DegenerateDirectionError("two distinct points are required to span a geodesic")
     cross = a.real * b.imag - a.imag * b.real
@@ -190,37 +129,26 @@ def _geodesic(a, b, dedup_tol=1e-9):
     return "arc", 0j, c, math.sqrt(r2)
 
 
-def reflect_through(a, b, z):
+def _reflect_through(a, b, z):
     """Reflect z across the geodesic through a and b.
 
     Conjugates the reflection to a diameter through the origin, which stays
     numerically stable even when the geodesic is nearly a diameter.
     """
-    return _reflect_through(as_disk_point(a), as_disk_point(b), as_disk_point(z))
-
-
-def _reflect_through(a, b, z):
     w = _translate(a, z)
     u = _log_dir(a, b)
     return _untranslate(a, u * u * w.conjugate())
 
 
-def segment_dist_to_origin(a, b):
-    """Hyperbolic distance from the origin to the geodesic segment [a, b].
+def _segment_dist(a, b, end):
+    """Hyperbolic distance from the origin to the geodesic segment [a, b];
+    end is the hyperbolic distance from the origin to the nearer endpoint.
 
     Exact (up to roundoff): hyperbolic distance from the origin is monotone in
     Euclidean radius, so the nearest point of a circular arc is either the
     point of the full circle facing the origin (when it lies on the arc) or an
     endpoint.
     """
-    a = as_disk_point(a)
-    b = as_disk_point(b)
-    return _segment_dist(a, b, min(radial_dist(abs(a)), radial_dist(abs(b))))
-
-
-def _segment_dist(a, b, end):
-    """Core of segment_dist_to_origin; end is the hyperbolic distance from
-    the origin to the nearer endpoint."""
     if abs(a - b) <= 1e-15:
         return end
     kind, direction, center, radius = _geodesic(a, b)

@@ -249,50 +249,56 @@ def scene_s7():
 # ---------------------------------------------------------------------------
 # catalog
 
+def _cos(deg):
+    return math.cos(math.radians(deg))
+
+
+def _sin(deg):
+    return math.sin(math.radians(deg))
+
+
+# each entry paired with the closed form (L) or the scene solver (S) that
+# computes its value
 _L_ENTRIES = [
-    LemmaCheck(
-        "L1",
-        "gap-bound cosine sum at a 90 degree gap: 2cos45 + 2cos105 + cos165",
-        -0.07,
-        ("<", 0.0),
+    (
+        LemmaCheck("L1", "gap-bound cosine sum at a 90 degree gap: 2cos45 + 2cos105 + cos165", -0.07, ("<", 0.0)),
+        lambda: 2 * _cos(45) + 2 * _cos(105) + _cos(165),
     ),
-    LemmaCheck(
-        "L2",
-        "(5,4) extremal separation: 2*sqrt(2)*sin15",
-        0.73,
-        ("<", 1.0),
+    (
+        LemmaCheck("L2", "(5,4) extremal separation: 2*sqrt(2)*sin15", 0.73, ("<", 1.0)),
+        lambda: 2 * _SQRT2 * _sin(15),
     ),
-    LemmaCheck(
-        "L3",
-        "(5,3) extremal separation: 2*sqrt(3)*sin15",
-        0.90,
-        ("<", 1.0),
+    (
+        LemmaCheck("L3", "(5,3) extremal separation: 2*sqrt(3)*sin15", 0.90, ("<", 1.0)),
+        lambda: 2 * _SQRT3 * _sin(15),
     ),
-    LemmaCheck(
-        "L4",
-        "(5,2) six-neighbor horizontal sum: 2cos146.01 + 2cos86.01 + 1 "
-        "(the extremal angle 86.01 is taken as a given constant)",
-        -0.52,
-        ("<", 0.0),
+    (
+        LemmaCheck(
+            "L4",
+            "(5,2) six-neighbor horizontal sum: 2cos146.01 + 2cos86.01 + 1 "
+            "(the extremal angle 86.01 is taken as a given constant)",
+            -0.52,
+            ("<", 0.0),
+        ),
+        lambda: 2 * _cos(146.01) + 2 * _cos(86.01) + 1.0,
     ),
-    LemmaCheck(
-        "L5",
-        "(5,2) bisector sum at the 154 degree opening: 2cos137 + 2cos77 + 1 "
-        "(the opening angle is taken as a given constant)",
-        -0.01,
-        ("<", 0.0),
+    (
+        LemmaCheck(
+            "L5",
+            "(5,2) bisector sum at the 154 degree opening: 2cos137 + 2cos77 + 1 "
+            "(the opening angle is taken as a given constant)",
+            -0.01,
+            ("<", 0.0),
+        ),
+        lambda: 2 * _cos(137) + 2 * _cos(77) + 1.0,
     ),
-    LemmaCheck(
-        "L6",
-        "(3,3) extremal separation: 2*sqrt(3)*cos75",
-        0.90,
-        ("<", 1.0),
+    (
+        LemmaCheck("L6", "(3,3) extremal separation: 2*sqrt(3)*cos75", 0.90, ("<", 1.0)),
+        lambda: 2 * _SQRT3 * _cos(75),
     ),
-    LemmaCheck(
-        "L7",
-        "(4,3) reflected-neighbor separation: 2*sqrt(2)*sin15",
-        0.73,
-        ("<", 1.0),
+    (
+        LemmaCheck("L7", "(4,3) reflected-neighbor separation: 2*sqrt(2)*sin15", 0.73, ("<", 1.0)),
+        lambda: 2 * _SQRT2 * _sin(15),
     ),
 ]
 
@@ -308,20 +314,6 @@ _S_ENTRIES = [
 ]
 
 
-def _closed_forms():
-    c = math.cos
-    rad = math.radians
-    return {
-        "L1": 2 * c(rad(45)) + 2 * c(rad(105)) + c(rad(165)),
-        "L2": 2 * _SQRT2 * math.sin(rad(15)),
-        "L3": 2 * _SQRT3 * math.sin(rad(15)),
-        "L4": 2 * c(rad(146.01)) + 2 * c(rad(86.01)) + 1.0,
-        "L5": 2 * c(rad(137)) + 2 * c(rad(77)) + 1.0,
-        "L6": 2 * _SQRT3 * c(rad(75)),
-        "L7": 2 * _SQRT2 * math.sin(rad(15)),
-    }
-
-
 def _bound_holds(value, bound):
     if bound is None:
         return True
@@ -334,20 +326,7 @@ def _bound_holds(value, bound):
 def run_catalog(match_tol=0.005):
     """Evaluate every catalog entry and report value matches and bounds."""
     results = []
-    forms = _closed_forms()
-    for entry in _L_ENTRIES:
-        value = forms[entry.id]
-        results.append(
-            CheckResult(
-                id=entry.id,
-                description=entry.description,
-                computed=value,
-                expected=entry.expected,
-                matches_expected=abs(value - entry.expected) <= match_tol,
-                bound_holds=_bound_holds(value, entry.bound),
-            )
-        )
-    for entry, solver in _S_ENTRIES:
+    for entry, solver in _L_ENTRIES + _S_ENTRIES:
         value = solver()
         results.append(
             CheckResult(

@@ -13,6 +13,7 @@ residual per class, on flat arrays, which the report keeps as its columns.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -49,8 +50,8 @@ class VerifyParams:
     tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self):
-        if not (self.max_radius > 0.0):
-            raise ParameterDomainError("max_radius must be positive")
+        if not (0.0 < self.max_radius < math.inf):
+            raise ParameterDomainError("max_radius must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -422,3 +422,13 @@ class TestEnumerationOracles:
                 b = np.array(sorted(map(tuple, want_pts[s:e])))
                 assert np.allclose(a, b, atol=1e-9)
             checked += 1
+
+
+class TestPublicApi:
+    def test_star_import_binds_every_exported_name(self):
+        # a name left in __all__ after its import is gone breaks star imports
+        import balanced_configs
+
+        namespace = {}
+        exec("from balanced_configs import *", namespace)
+        assert [n for n in balanced_configs.__all__ if n not in namespace] == []

@@ -36,6 +36,10 @@ from balanced_configs.generators import (
 )
 from balanced_configs.render import RenderStyle, render_svg
 
+# rows independent in absolute terms (|det| = 5e-7) but not relative to their
+# length
+_THIN_BASIS = {"space": "euclidean2", "kind": "periodic", "basis": [[1000.0, 0.0], [1000.0, 5e-10]], "motif": [[0.0, 0.0]]}
+
 
 def _tuples(arr):
     return tuple(tuple(float(x) for x in row) for row in arr)
@@ -323,6 +327,11 @@ class TestDocumentDiagnostics:
         with pytest.raises(ValidationError) as info:
             to_runtime(parse_config(text))
         assert info.value.field == "motif"
+        # |det| = 5e-7 passes parse_config's absolute gate; the container's
+        # test relative to the row lengths refuses the basis
+        with pytest.raises(ValidationError) as info:
+            to_runtime(parse_config(json.dumps(_THIN_BASIS)))
+        assert info.value.field == "basis"
 
 
 class TestRender:
@@ -591,6 +600,19 @@ class TestCli:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+        # the tolerance flags a subcommand never reads are not registered
+        for argv in (
+            ["lemmas", "--max-radius", "6"],
+            ["lemmas", "--residual-tol", "1e-9"],
+            ["lemmas", "--class-tol", "1e-6"],
+            ["classify", "doc.json", "--max-radius", "6"],
+            ["classify", "doc.json", "--residual-tol", "1e-9"],
+            ["symmetry", "doc.json", "--max-radius", "6"],
+            ["symmetry", "doc.json", "--residual-tol", "1e-9"],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2, argv
 
     def test_unknown_set_name_exits_two(self, capsys):
         code, _, err = _run(
@@ -741,6 +763,15 @@ class TestCli:
                 ["generate", "--family", "rotation-tiling", "--angles", "1,1,28", "--order", "12", "--depth", "2"],
                 "depth 2 reaches tiles too close to the disk boundary",
             ),
+            # non-finite tolerances and cutoffs
+            (["verify", "{tmp}/hex.json", "--residual-tol", "nan"], "residual_tol must be positive and finite"),
+            (["verify", "{tmp}/hex.json", "--residual-tol", "inf"], "residual_tol must be positive and finite"),
+            (["verify", "{tmp}/hex.json", "--class-tol", "inf"], "tolerances must satisfy"),
+            (["verify", "{tmp}/hex.json", "--max-radius", "inf"], "max_radius must be positive and finite"),
+            (["symmetry", "{tmp}/hex.json", "--class-tol", "inf"], "tolerances must satisfy"),
+            (["verify", "{tmp}/ngon.json", "--max-radius", "inf"], "max_radius must be positive and finite"),
+            # absolutely but not relatively independent basis rows
+            (["verify", "{tmp}/thin.json"], "basis vectors must be linearly independent"),
         ],
     )
     def test_typed_refusals_exit_two(self, capsys, tmp_path, argv, message):
@@ -751,12 +782,15 @@ class TestCli:
             "patch": document_from(
                 gen_hyp_triangle_group(TriangleGroupParams(2, 3, 7, 2), TriangleGroupFlags(True, False, False))
             ),
+            "hex": document_from(gen_hexagonal(1.0, SubsetFlags(True, False, False))),
+            "ngon": document_from(gen_sphere("ngon(8)", SubsetFlags(True, False, False))),
         }
         for name, doc in docs.items():
             (tmp_path / f"{name}.json").write_text(serialize(doc))
         (tmp_path / "dup.json").write_text(
             json.dumps({"space": "euclidean2", "kind": "periodic", "basis": [[1, 0], [0, 1]], "motif": [[0, 0], [1, 0]]})
         )
+        (tmp_path / "thin.json").write_text(json.dumps(_THIN_BASIS))
         code, out, err = _run(capsys, [a.format(tmp=tmp_path) for a in argv])
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err

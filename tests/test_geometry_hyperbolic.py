@@ -1,6 +1,7 @@
 """Geometry primitives checked against independent numerical oracles:
 quadrature for the disk metric, finite differences for tangent directions,
-and brute-force minimization for segment distances."""
+and brute-force minimization for segment distances.  The disk maps that
+only the tiling builders call are tested through their private cores."""
 import cmath
 import math
 
@@ -10,30 +11,21 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from balanced_configs import hyperbolic
-from balanced_configs.errors import DegenerateDirectionError, InvalidPointError
-from balanced_configs.geometry import (
-    Tolerance,
-    as_vec,
-    euclid_dist,
-    rotate_plane,
-    sphere_dist,
-    sphere_tangent_projection,
-)
+from balanced_configs.errors import DegenerateDirectionError, InvalidPointError, ParameterDomainError
+from balanced_configs.geometry import Tolerance, as_vec
 from balanced_configs.hyperbolic import (
-    Geodesic,
+    _geodesic,
+    _half_turn,
+    _midpoint,
+    _reflect_through,
+    _segment_dist,
+    _translate,
+    _untranslate,
     as_disk_point,
     euclid_radius,
-    geodesic_through,
-    half_turn,
     hyp_dist,
     hyp_log_dir,
-    hyp_midpoint,
-    mobius_translate,
-    mobius_untranslate,
     radial_dist,
-    reflect_through,
-    rotate_about,
-    segment_dist_to_origin,
 )
 
 
@@ -44,11 +36,17 @@ def _rand_disk(rng, rmax=0.85):
     return cmath.rect(r, phi)
 
 
+def _segment_dist_to_origin(a, b):
+    """Hyperbolic distance from the origin to the segment [a, b]: the core
+    given the nearer endpoint's distance, as the tiling builders call it."""
+    return _segment_dist(a, b, min(radial_dist(abs(a)), radial_dist(abs(b))))
+
+
 def _metric_length_along_segment(a, b, steps=4000):
     """Independent oracle: integrate 2|dz|/(1-|z|^2) along the geodesic by
     pulling the segment to a diameter through the origin."""
     # translate a to origin; the geodesic to the image of b is a straight ray
-    w = mobius_translate(a, b)
+    w = _translate(a, b)
     r = abs(w)
     val, _ = quad(lambda t: 2.0 / (1.0 - t * t), 0.0, r, limit=200)
     return val
@@ -59,31 +57,19 @@ class TestPlaneAndSphereBasics:
         with pytest.raises(Exception):
             as_vec((1.0, 2.0, 3.0), 2)
 
-    def test_euclid_dist(self):
-        assert euclid_dist((0.0, 0.0), (3.0, 4.0)) == pytest.approx(5.0)
-
-    def test_rotate_plane_quarter_turn(self):
-        p = rotate_plane((1.0, 0.0), (0.0, 0.0), math.pi / 2.0)
-        assert np.allclose(p, (0.0, 1.0), atol=1e-12)
-
-    def test_sphere_dist_is_chordal(self):
-        a = np.array([1.0, 0.0, 0.0])
-        b = np.array([0.0, 1.0, 0.0])
-        assert sphere_dist(a, b) == pytest.approx(math.sqrt(2.0))
-
-    def test_tangent_projection_orthogonal_to_base(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = rng.normal(size=3)
-            a /= np.linalg.norm(a)
-            b = rng.normal(size=3)
-            b /= np.linalg.norm(b)
-            proj = sphere_tangent_projection(a, b)
-            assert abs(float(np.dot(proj, a))) < 1e-12
-
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             Tolerance(class_tol=-1.0, residual_tol=1e-9, dedup_tol=1e-9)
+        # NaN fails every comparison, and an infinite tolerance bounds nothing
+        for bad in (
+            dict(residual_tol=math.nan),
+            dict(residual_tol=math.inf),
+            dict(class_tol=math.nan),
+            dict(class_tol=math.inf),
+            dict(dedup_tol=math.nan),
+        ):
+            with pytest.raises(ParameterDomainError):
+                Tolerance(**bad)
 
 
 class TestDiskMetric:
@@ -160,8 +146,8 @@ class TestMobiusMaps:
             z = complex(*rng.uniform(-0.9, 0.9, 2))
             if abs(z) >= 0.95:
                 continue
-            w = mobius_translate(c, z)
-            assert abs(mobius_untranslate(c, w) - z) < 1e-12
+            w = _translate(c, z)
+            assert abs(_untranslate(c, w) - z) < 1e-12
 
     def test_translate_is_isometry(self):
         rng = np.random.default_rng(22)
@@ -169,7 +155,7 @@ class TestMobiusMaps:
             c = complex(*rng.uniform(-0.7, 0.7, 2))
             z1, z2 = _rand_disk(rng, 0.9), _rand_disk(rng, 0.9)
             assert hyp_dist(z1, z2) == pytest.approx(
-                hyp_dist(mobius_translate(c, z1), mobius_translate(c, z2)), abs=1e-10
+                hyp_dist(_translate(c, z1), _translate(c, z2)), abs=1e-10
             )
 
     def test_log_dir_matches_finite_difference(self):
@@ -183,8 +169,8 @@ class TestMobiusMaps:
             assert abs(abs(u) - 1.0) < 1e-12
             # walk a tiny step from a toward b along the geodesic: the
             # chordal direction of that step should match u
-            w = mobius_translate(a, b)
-            step = mobius_untranslate(a, w / abs(w) * 1e-7)
+            w = _translate(a, b)
+            step = _untranslate(a, w / abs(w) * 1e-7)
             fd = (step - a) / abs(step - a)
             assert abs(fd - u) < 1e-5
 
@@ -195,7 +181,7 @@ class TestMobiusMaps:
             b = complex(*rng.uniform(-0.7, 0.7, 2))
             if abs(a - b) < 1e-6:
                 continue
-            m = hyp_midpoint(a, b)
+            m = _midpoint(a, b)
             assert hyp_dist(a, m) == pytest.approx(hyp_dist(m, b), abs=1e-11)
             assert hyp_dist(a, m) + hyp_dist(m, b) == pytest.approx(
                 hyp_dist(a, b), abs=1e-10
@@ -206,28 +192,22 @@ class TestMobiusMaps:
         for _ in range(25):
             c = complex(*rng.uniform(-0.6, 0.6, 2))
             z = _rand_disk(rng)
-            image = half_turn(c, z)
-            assert abs(half_turn(c, image) - z) < 1e-11
+            image = _half_turn(c, z)
+            assert abs(_half_turn(c, image) - z) < 1e-11
             assert hyp_dist(c, z) == pytest.approx(hyp_dist(c, image), abs=1e-11)
-            assert abs(hyp_midpoint(z, image) - c) < 1e-9 or abs(z - c) < 1e-9
-
-    def test_rotate_about_preserves_distance_to_center(self):
-        c = complex(0.3, -0.2)
-        z = complex(-0.4, 0.5)
-        w = rotate_about(c, 1.234, z)
-        assert hyp_dist(c, w) == pytest.approx(hyp_dist(c, z), abs=1e-12)
+            assert abs(_midpoint(z, image) - c) < 1e-9 or abs(z - c) < 1e-9
 
 
 class TestGeodesics:
     def test_geodesic_through_origin_is_diameter(self):
-        g = geodesic_through(0j, complex(0.5, 0.5))
-        assert g.kind == "diameter"
+        kind, _, _, _ = _geodesic(0j, complex(0.5, 0.5))
+        assert kind == "diameter"
 
     def test_offcenter_geodesic_orthogonal_to_boundary(self):
-        g = geodesic_through(complex(0.3, 0.1), complex(0.2, -0.4))
-        assert g.kind == "arc"
+        kind, _, center, radius = _geodesic(complex(0.3, 0.1), complex(0.2, -0.4))
+        assert kind == "arc"
         # orthogonality: |center|^2 = 1 + radius^2
-        assert abs(g.center) ** 2 == pytest.approx(1.0 + g.radius**2, abs=1e-10)
+        assert abs(center) ** 2 == pytest.approx(1.0 + radius**2, abs=1e-10)
 
     def test_reflection_is_isometric_involution_fixing_the_line(self):
         rng = np.random.default_rng(31)
@@ -237,11 +217,11 @@ class TestGeodesics:
             if abs(a - b) < 1e-3:
                 continue
             z1, z2 = _rand_disk(rng), _rand_disk(rng)
-            r1, r2 = reflect_through(a, b, z1), reflect_through(a, b, z2)
-            assert abs(reflect_through(a, b, r1) - z1) < 1e-10
+            r1, r2 = _reflect_through(a, b, z1), _reflect_through(a, b, z2)
+            assert abs(_reflect_through(a, b, r1) - z1) < 1e-10
             assert hyp_dist(r1, r2) == pytest.approx(hyp_dist(z1, z2), abs=1e-9)
-            assert abs(reflect_through(a, b, a) - a) < 1e-11
-            assert abs(reflect_through(a, b, b) - b) < 1e-11
+            assert abs(_reflect_through(a, b, a) - a) < 1e-11
+            assert abs(_reflect_through(a, b, b) - b) < 1e-11
 
     def test_segment_dist_to_origin_matches_minimization(self):
         rng = np.random.default_rng(32)
@@ -252,19 +232,15 @@ class TestGeodesics:
                 continue
 
             def along(t):
-                w = mobius_translate(a, b)
-                return abs(mobius_untranslate(a, w * t))
+                w = _translate(a, b)
+                return abs(_untranslate(a, w * t))
 
             res = minimize_scalar(
                 lambda t: radial_dist(along(t)), bounds=(0.0, 1.0), method="bounded",
                 options={"xatol": 1e-12},
             )
             oracle = min(res.fun, radial_dist(abs(a)), radial_dist(abs(b)))
-            assert segment_dist_to_origin(a, b) == pytest.approx(oracle, abs=1e-7)
-
-    def test_geodesic_validation(self):
-        with pytest.raises(Exception):
-            Geodesic(kind="arc", direction=None, center=complex(0.5, 0.0), radius=0.5).validate()
+            assert _segment_dist_to_origin(a, b) == pytest.approx(oracle, abs=1e-7)
 
 
 class TestPublicPrimitivesValidate:
@@ -272,15 +248,7 @@ class TestPublicPrimitivesValidate:
     behind them never see a point off the open disk."""
 
     CALLS = {
-        "mobius_translate": lambda p: mobius_translate(0.2j, p),
-        "mobius_untranslate": lambda p: mobius_untranslate(p, 0.1),
         "hyp_log_dir": lambda p: hyp_log_dir(0.3, p),
-        "hyp_midpoint": lambda p: hyp_midpoint(p, 0.1j),
-        "half_turn": lambda p: half_turn(p, 0.3),
-        "rotate_about": lambda p: rotate_about(0.1, 1.0, p),
-        "geodesic_through": lambda p: geodesic_through(0.2, p),
-        "reflect_through": lambda p: reflect_through(0.1, 0.2j, p),
-        "segment_dist_to_origin": lambda p: segment_dist_to_origin(p, -0.4),
     }
 
     @pytest.mark.parametrize("name", sorted(CALLS))
@@ -291,10 +259,10 @@ class TestPublicPrimitivesValidate:
 
     def test_coincident_points_raise(self):
         with pytest.raises(DegenerateDirectionError):
-            reflect_through(0.3, 0.3 + 1e-12, 0.1j)
+            _reflect_through(0.3 + 0j, 0.3 + 1e-12 + 0j, 0.1j)
         with pytest.raises(DegenerateDirectionError):
-            segment_dist_to_origin(0.3, 0.3 + 1e-10)
-        assert segment_dist_to_origin(0.3, 0.3) == pytest.approx(radial_dist(0.3), abs=0.0)
+            _segment_dist_to_origin(0.3 + 0j, 0.3 + 1e-10 + 0j)
+        assert _segment_dist_to_origin(0.3 + 0j, 0.3 + 0j) == pytest.approx(radial_dist(0.3), abs=0.0)
 
     def test_unresolvable_geodesic_near_the_boundary_raises(self):
         # 1.06e-6 apart with 1 - |z| ~ 1e-6: rounding leaves no positive
@@ -302,6 +270,6 @@ class TestPublicPrimitivesValidate:
         a = 0.8700950668540577 + 0.49288190739489807j
         b = 0.8700952245447933 + 0.4928808568946632j
         with pytest.raises(DegenerateDirectionError):
-            geodesic_through(a, b)
+            _geodesic(a, b)
         with pytest.raises(DegenerateDirectionError):
-            segment_dist_to_origin(a, b)
+            _segment_dist_to_origin(a, b)
