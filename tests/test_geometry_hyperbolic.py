@@ -11,11 +11,13 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from balanced_configs import hyperbolic
+from balanced_configs.configs import FinitePointSet, PeriodicConfig, _pair_dists
 from balanced_configs.errors import DegenerateDirectionError, InvalidPointError, ParameterDomainError
 from balanced_configs.geometry import Tolerance, as_vec
 from balanced_configs.hyperbolic import (
     _geodesic,
     _half_turn,
+    _log_dir,
     _midpoint,
     _reflect_through,
     _segment_dist,
@@ -27,6 +29,7 @@ from balanced_configs.hyperbolic import (
     hyp_log_dir,
     radial_dist,
 )
+from balanced_configs.verify import verify_sphere
 
 
 def _rand_disk(rng, rmax=0.85):
@@ -56,6 +59,32 @@ class TestPlaneAndSphereBasics:
     def test_as_vec_shape_guard(self):
         with pytest.raises(Exception):
             as_vec((1.0, 2.0, 3.0), 2)
+
+    def test_euclid_dist(self):
+        assert _pair_dists("plane", np.array([0.0, 0.0]), np.array([3.0, 4.0])) == pytest.approx(5.0)
+
+    def test_rotate_plane_quarter_turn(self):
+        # the motif point at (1, 0) turns counterclockwise onto (0, 1)
+        c = PeriodicConfig(np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([[0.5, 0.0]]))
+        p = c.transformed(rotation=math.pi / 2.0).cartesian_motif()[0]
+        assert np.allclose(p, (0.0, 1.0), atol=1e-12)
+
+    def test_sphere_dist_is_chordal(self):
+        a = np.array([1.0, 0.0, 0.0])
+        b = np.array([0.0, 1.0, 0.0])
+        assert _pair_dists("sphere", a, b) == pytest.approx(math.sqrt(2.0))
+
+    def test_tangent_projection_orthogonal_to_base(self):
+        rng = np.random.default_rng(3)
+        pts = rng.normal(size=(20, 3))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        c = FinitePointSet("sphere", pts)
+        proj = verify_sphere(c, mode="tangent_projection")
+        base = proj.bases[proj.class_owner]
+        assert np.all(np.abs(np.sum(proj.residual * base, axis=1)) < 1e-12)
+        # the projection and the cross product with a unit base agree in norm
+        cross = verify_sphere(c, mode="scalar_multiple")
+        assert np.allclose(proj.residual_norm, cross.residual_norm, atol=1e-12)
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
@@ -197,6 +226,29 @@ class TestMobiusMaps:
             assert hyp_dist(c, z) == pytest.approx(hyp_dist(c, image), abs=1e-11)
             assert abs(_midpoint(z, image) - c) < 1e-9 or abs(z - c) < 1e-9
 
+    def test_half_turn_fixes_its_center(self):
+        rng = np.random.default_rng(24)
+        for _ in range(25):
+            c = _rand_disk(rng)
+            assert abs(_half_turn(c, c) - c) < 1e-12
+
+    def test_midpoint_of_coincident_points_is_the_point(self):
+        a = complex(0.3, -0.6)
+        assert _midpoint(a, a) == a
+
+    def test_rotate_about_preserves_distance_to_center(self):
+        # rotation about c: carry c to the origin, turn, carry back
+        c = complex(0.3, -0.2)
+        z = complex(-0.4, 0.5)
+        w = _untranslate(c, cmath.rect(1.0, 1.234) * _translate(c, z))
+        assert hyp_dist(c, w) == pytest.approx(hyp_dist(c, z), abs=1e-12)
+
+    def test_log_dir_of_coincident_points_raises(self):
+        with pytest.raises(DegenerateDirectionError):
+            _log_dir(0.4j, 0.4j + 1e-12)
+        with pytest.raises(DegenerateDirectionError):
+            hyp_log_dir(0.4j, 0.4j)
+
 
 class TestGeodesics:
     def test_geodesic_through_origin_is_diameter(self):
@@ -208,6 +260,28 @@ class TestGeodesics:
         assert kind == "arc"
         # orthogonality: |center|^2 = 1 + radius^2
         assert abs(center) ** 2 == pytest.approx(1.0 + radius**2, abs=1e-10)
+
+    def test_geodesic_passes_through_both_points(self):
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            a, b = _rand_disk(rng), _rand_disk(rng)
+            if abs(a - b) < 1e-3:
+                continue
+            kind, direction, center, radius = _geodesic(a, b)
+            assert kind == "arc"
+            assert abs(a - center) == pytest.approx(radius, abs=1e-9)
+            assert abs(b - center) == pytest.approx(radius, abs=1e-9)
+        kind, direction, _, _ = _geodesic(complex(-0.2, 0.1), complex(0.4, -0.2))
+        assert kind == "diameter"
+        assert abs(direction - complex(0.6, -0.3) / abs(complex(0.6, -0.3))) < 1e-12
+
+    def test_segment_on_a_diameter(self):
+        # the origin lies between the endpoints: distance zero; otherwise
+        # the nearer endpoint is nearest
+        assert _segment_dist_to_origin(complex(-0.3, 0.3), complex(0.5, -0.5)) == 0.0
+        a, b = complex(0.2, 0.1), complex(0.6, 0.3)
+        assert _segment_dist_to_origin(a, b) == radial_dist(abs(a))
+        assert _segment_dist_to_origin(b, a) == radial_dist(abs(a))
 
     def test_reflection_is_isometric_involution_fixing_the_line(self):
         rng = np.random.default_rng(31)
@@ -248,7 +322,11 @@ class TestPublicPrimitivesValidate:
     behind them never see a point off the open disk."""
 
     CALLS = {
+        "as_disk_point": as_disk_point,
+        "hyp_dist": lambda p: hyp_dist(p, 0.2j),
+        "hyp_dist_second": lambda p: hyp_dist(0.2j, p),
         "hyp_log_dir": lambda p: hyp_log_dir(0.3, p),
+        "hyp_log_dir_base": lambda p: hyp_log_dir(p, 0.3),
     }
 
     @pytest.mark.parametrize("name", sorted(CALLS))
@@ -256,6 +334,23 @@ class TestPublicPrimitivesValidate:
     def test_points_off_the_disk_raise(self, name, bad):
         with pytest.raises(InvalidPointError):
             self.CALLS[name](bad)
+
+    @pytest.mark.parametrize("p", [complex(0.3, -0.4), (0.3, -0.4), [0.3, -0.4], np.array([0.3, -0.4])])
+    def test_pairs_coerce_to_complex(self, p):
+        assert as_disk_point(p) == complex(0.3, -0.4)
+
+    def test_real_numbers_coerce_to_complex(self):
+        assert as_disk_point(0.5) == complex(0.5, 0.0)
+        assert as_disk_point(0) == 0j
+
+    def test_array_distance_matches_scalar(self):
+        rng = np.random.default_rng(33)
+        pts = np.array([_rand_disk(rng, 0.95) for _ in range(30)])
+        c = complex(0.1, 0.7)
+        want = [hyp_dist(c, p) for p in pts]
+        assert np.allclose(hyperbolic._dist(c, pts), want, rtol=1e-14, atol=0.0)
+        xy = np.column_stack([pts.real, pts.imag])
+        assert np.allclose(_pair_dists("disk", np.array([c.real, c.imag]), xy), want, rtol=1e-14, atol=0.0)
 
     def test_coincident_points_raise(self):
         with pytest.raises(DegenerateDirectionError):
