@@ -25,6 +25,7 @@ from .configs import (
     _cluster,
     _neighbors,
     _ranges,
+    _shift_grid,
     canonical_basis,
     contains,
     contains_many,
@@ -150,12 +151,12 @@ def is_group_balanced(c, tol=DEFAULT_TOL):
     validation window lies inside the set.  Each witness is the smallest
     validated angle.
     """
-    if not (isinstance(c, PeriodicConfig) or (isinstance(c, FinitePointSet) and c.space == "plane")):
+    if c.space != "plane":
         raise ValueError("group-balance detection requires planar input")
     min_d = min_distance(c, tol)
-    # motif representatives need no window
-    reach = 0.0 if isinstance(c, PeriodicConfig) else 4.0 * min_d + min_d
-    bases = _base_points_for(c, reach, tol)
+    # a window point needs its validation window inside the set; motif
+    # representatives need none, and _base_points_for ignores the reach
+    bases = _base_points_for(c, 4.0 * min_d + min_d, tol)
     witnesses = tuple(
         SymmetryWitness(center=tuple(p), angle=angles[0]) if angles else None
         for p, angles in zip(bases, _rotation_angles(c, bases, min_d, tol))
@@ -217,8 +218,7 @@ def _sets_agree(a, b, tol):
     and its one-cell translates of each must belong to the other."""
     for src, dst in ((a, b), (b, a)):
         cart = src.cartesian_motif()
-        shifts = np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
-        probes = (cart[:, None, :] + (shifts @ src.basis)[None, :, :]).reshape(-1, 2)
+        probes = (cart[:, None, :] + (_shift_grid() @ src.basis)[None, :, :]).reshape(-1, 2)
         if not np.all(contains_many(dst, probes, tol)):
             return False
     return True
@@ -267,12 +267,10 @@ def classify(c, tol=DEFAULT_TOL):
     numpy's LinAlgError is one) and AmbiguousClassError.  Any other
     exception is a bug and propagates.
     """
-    if isinstance(c, FinitePointSet):
-        if c.space != "plane":
-            raise ValueError("classification requires planar input")
-        return _classify_line(c, tol)
+    if c.space != "plane":
+        raise ValueError("classification requires planar input")
     if not isinstance(c, PeriodicConfig):
-        raise ValueError("classification requires a PeriodicConfig or planar FinitePointSet")
+        return _classify_line(c, tol)
     try:
         prim = primitive_periods(c, tol)
         result = _classify_primitive(prim, tol)
@@ -348,7 +346,7 @@ def _classify_hex(prim, cart, min_d, tol, tag):
     }[tag]
     roles = {}
     counts = {}
-    for i, p in enumerate(cart):
+    for p in cart:
         dirs = _neighbor_dirs(prim, p, min_d, tol)
         n = len(dirs)
         counts[n] = counts.get(n, 0) + 1
@@ -356,13 +354,12 @@ def _classify_hex(prim, cart, min_d, tol, tag):
             return ConfigClass(UNKNOWN, {})
         if n == 2 and not _gaps_equal(dirs, 2, math.pi):
             return ConfigClass(UNKNOWN, {})
-        roles.setdefault(n, []).append(i)
+        roles.setdefault(n, []).append((p, dirs))
     if counts != expected:
         return ConfigClass(UNKNOWN, {})
     side = min_d if tag == HEX_VERTICES else 2.0 * min_d
-    vertex_idx = roles[3][0]
-    v0 = cart[vertex_idx]
-    dirs = _neighbor_dirs(prim, v0, min_d, tol)
+    # the first vertex, and the neighbour directions the loop found for it
+    v0, dirs = roles[3][0]
     theta_nb = float(np.angle(dirs[0]))
     rotation = theta_nb - math.pi / 6.0
     # the canonical hexagon tiling has a vertex at side * e^{i pi/6} whose

@@ -11,6 +11,7 @@ failure (any other exception).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .classify import UNKNOWN, classify, is_group_balanced, rotation_symmetries_about
-from .configs import FinitePointSet, PatchConfig, PeriodicConfig
+from .configs import PatchConfig, PeriodicConfig
 from .docio import document_from, parse_config, serialize, to_runtime
 from .errors import (
     AmbiguousClassError,
@@ -118,7 +119,7 @@ def _read_config(path):
 def _read_planar(path, command):
     """The configuration of the document at path, refused unless planar."""
     config = _read_config(path)
-    if not (isinstance(config, PeriodicConfig) or (isinstance(config, FinitePointSet) and config.space == "plane")):
+    if config.space != "plane":
         raise ValidationError(f"{command} requires a euclidean2 document", field="space")
     return config
 
@@ -205,7 +206,7 @@ def _cmd_generate(args):
 def _cmd_verify(args):
     config = _read_config(args.input)
     params = VerifyParams(max_radius=args.max_radius, tol=_tolerance(args))
-    if isinstance(config, FinitePointSet) and config.space == "sphere":
+    if config.space == "sphere":
         modes = (
             ("scalar_multiple", "tangent_projection")
             if args.mode == "both"
@@ -216,9 +217,9 @@ def _cmd_verify(args):
         details = {m: r.summary() for m, r in reports.items()}
         worst = max(r.worst_residual for r in reports.values())
     else:
-        if isinstance(config, FinitePointSet) and config.space == "disk":
-            config = PatchConfig(config.points, 0.0, labels=config.labels)
-        if isinstance(config, PatchConfig):
+        if config.space == "disk":
+            if not isinstance(config, PatchConfig):  # a finite disk set certifies no radius
+                config = PatchConfig(config.points, 0.0, labels=config.labels)
             # a patch can only certify balance within its own radius; clamp
             # the cutoff to what the patch supports and disclose it
             available = float(config.patch_radius - config.center_dists().min())
@@ -286,17 +287,7 @@ def _cmd_lemmas(args):
     sweep_ok = check_angle_bound_60_90(args.samples)
     all_ok = sweep_ok and all(r.passed for r in results)
     details = {
-        "entries": [
-            {
-                "id": r.id,
-                "description": r.description,
-                "computed": r.computed,
-                "expected": r.expected,
-                "matches_expected": r.matches_expected,
-                "bound_holds": r.bound_holds,
-            }
-            for r in results
-        ],
+        "entries": [dataclasses.asdict(r) for r in results],
         "angle_bound_sweep": {"samples": args.samples, "passed": sweep_ok},
     }
     _emit_report(args, "pass" if all_ok else "fail", details)

@@ -9,6 +9,12 @@ Three containers cover every surface handled by the package:
 * ``PatchConfig``     - a finite window of an infinite hyperbolic tiling
   together with the radius up to which the window is certified complete.
 
+Every container names its ``space``: a field of ``FinitePointSet``, and a
+class constant of the others ("plane" for ``PeriodicConfig``, "disk" for
+``PatchConfig``).  Code that only asks which space a configuration lives in
+reads ``c.space``; only code that depends on the container's kind (lattice
+translates, a patch's certified radius) tests its type.
+
 All containers are treated as immutable after construction, which lets
 them keep what is derived from them, built on first use: the polar index
 of a finite set or patch, and the reduced cell and the minimal distance
@@ -17,8 +23,10 @@ of a finite set or patch, and the reduced cell and the minimal distance
 Every neighbour query goes through one kernel, ``_neighbors``, which takes
 an array of base points and returns flat (owner, point, distance) arrays,
 and one clusterer, ``_cluster``, which splits them into distance classes.
-Periodic input is enumerated from lattice translates; its minimal distance
-is one query bounded by the nearest cell translates of the motif pairs.
+Periodic input is enumerated from lattice translates, chosen by one rule,
+``_translate_steps``, which refuses a box of more than 2**31 translates per
+point; its minimal distance is one query bounded by the nearest cell
+translates of the motif pairs.
 Finite sets and patches query a polar index (``_PolarIndex``: radial bands
 sorted by angle) cached on the container, filtered by the container's
 metric (``hyperbolic._dist`` on the disk).  Everything here is numpy only.
@@ -27,11 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from . import hyperbolic
-from .errors import AmbiguousClassError, InvalidPointError, NoPairsError
+from .errors import AmbiguousClassError, InvalidPointError, NoPairsError, ParameterDomainError
 from .geometry import DEFAULT_TOL, Tolerance, as_vec
 
 _SPACES = ("plane", "sphere", "disk")
@@ -41,6 +50,7 @@ _SPACES = ("plane", "sphere", "disk")
 class PeriodicConfig:
     """Lattice basis (rows v1, v2) plus motif points in fractional coordinates."""
 
+    space: ClassVar[str] = "plane"
     basis: np.ndarray
     motif: np.ndarray
     labels: tuple | None = None
@@ -123,7 +133,7 @@ class FinitePointSet:
     def __post_init__(self):
         if self.space not in _SPACES:
             raise InvalidPointError(f"space must be one of {_SPACES}, got {self.space!r}")
-        dim = 3 if self.space == "sphere" else 2
+        dim = _dim(self)
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != dim:
             raise InvalidPointError(f"points must be an (n, {dim}) array for space {self.space!r}")
@@ -154,6 +164,7 @@ class FinitePointSet:
 class PatchConfig:
     """A hyperbolic tiling window, complete out to hyp distance patch_radius."""
 
+    space: ClassVar[str] = "disk"
     points: np.ndarray
     patch_radius: float
     labels: tuple | None = None
@@ -244,15 +255,7 @@ def canonical_basis(c):
 
 def _dim(c):
     """Coordinate dimension of the configuration's points."""
-    if isinstance(c, PeriodicConfig):
-        return 2
-    if isinstance(c, (FinitePointSet, PatchConfig)):
-        return c.points.shape[1]
-    raise TypeError(f"unsupported configuration type {type(c)!r}")
-
-
-def _space(c):
-    return "disk" if isinstance(c, PatchConfig) else c.space
+    return 3 if c.space == "sphere" else 2
 
 
 # a band's composite sort key is angle + _BAND_STRIDE * band: angles lie in
@@ -359,7 +362,7 @@ def _index(c):
     """The neighbour index of a finite set or patch, built on first use and
     kept on the container (containers are immutable)."""
     if c._index is None:
-        c._index = _PolarIndex(c.points, _space(c))
+        c._index = _PolarIndex(c.points, c.space)
     return c._index
 
 
@@ -380,6 +383,31 @@ def _pair_dists(space, a, b):
 # elements per chunk on the periodic path (candidate translates of a block of
 # bases, or motif translates of a block of probes), bounding memory
 _LATTICE_CHUNK = 1 << 13
+# translates per point beyond which a lattice query is refused
+_MAX_TRANSLATES = 2.0**31
+
+
+def _translate_steps(basis, radius):
+    """Which lattice translates can reach a ball of the given radius.
+
+    A translate n with |p + n B - q| <= radius has n within span of the
+    fractional coordinates of q - p on each axis, so the translates to scan
+    are ceil(-(p - q) inv - span) + steps.  Returns inv = B^-1, span and
+    steps, the integer offsets 0..2 span on each axis.  A box of more than
+    2**31 translates raises ParameterDomainError before anything is
+    allocated.
+    """
+    inv = np.linalg.inv(basis)
+    # Python floats, which pass the float range to inf without a warning
+    span = [radius * n + 1.0 for n in np.linalg.norm(inv, axis=0).tolist()]
+    w0, w1 = 2.0 * span[0], 2.0 * span[1]
+    # per axis, so that the product cannot overflow; NaN is refused too
+    if not w0 + 1.0 <= _MAX_TRANSLATES / (w1 + 1.0):
+        raise ParameterDomainError(
+            f"a lattice query of radius {radius:.6g} spans more than 2**31 translates per point"
+        )
+    axes = np.arange(int(w0) + 1), np.arange(int(w1) + 1)
+    return inv, np.array(span), np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 2)
 
 
 def _neighbors(c, bases, reach, dedup_tol):
@@ -399,13 +427,7 @@ def _neighbors(c, bases, reach, dedup_tol):
     """
     bases = np.asarray(bases, dtype=float).reshape(-1, _dim(c))
     if isinstance(c, PeriodicConfig):
-        inv = np.linalg.inv(c.basis)
-        # a translate n with |m + n B - base| <= reach has n within span of
-        # the fractional coordinates of base - m
-        span = reach * np.linalg.norm(inv, axis=0) + 1.0
-        steps = np.stack(
-            np.meshgrid(np.arange(int(2 * span[0]) + 1), np.arange(int(2 * span[1]) + 1), indexing="ij"), -1
-        ).reshape(-1, 2)
+        inv, span, steps = _translate_steps(c.basis, reach)
         motif = c.cartesian_motif()
         chunk = max(1, _LATTICE_CHUNK // (len(motif) * len(steps)))
         found = [(np.zeros(0, dtype=np.intp), np.zeros((0, 2)), np.zeros(0))]
@@ -420,7 +442,7 @@ def _neighbors(c, bases, reach, dedup_tol):
         owner, pts, d = (np.concatenate(parts) for parts in zip(*found))
         order = np.lexsort((pts[:, 1], pts[:, 0], d, owner))
         return owner[order], pts[order], d[order]
-    space = _space(c)
+    space = c.space
     if space == "disk":
         t = math.tanh(reach / 2.0)
         b2 = np.sum(bases * bases, axis=1)
@@ -483,7 +505,7 @@ def _closest_pair(c):
     that bound then finds the closest pair in the container's own metric.
     """
     index = _index(c)
-    pts, space = index.points, _space(c)
+    pts, space = index.points, c.space
     # consecutive points in coordinate order include every exact duplicate;
     # with consecutive points in index order they bound the minimum
     step = _pair_dists(space, pts[:-1], pts[1:])
@@ -523,8 +545,6 @@ def min_distance(c, tol=DEFAULT_TOL):
         mask = c.center_dists() <= c.patch_radius + 1e-12
         if 2 <= int(mask.sum()) < c.n:
             c = FinitePointSet("disk", c.points[mask])
-    elif not isinstance(c, FinitePointSet):
-        raise TypeError(f"unsupported configuration type {type(c)!r}")
     if c.n < 2:
         raise NoPairsError("at least two points are required for a minimal distance")
     return _closest_pair(c)[0]
@@ -572,12 +592,10 @@ def contains_many(c, pts, tol=DEFAULT_TOL):
             delta = (delta - np.round(delta)) @ c.basis
             hits.append((np.linalg.norm(delta, axis=-1) <= tol.dedup_tol).any(axis=1))
         return np.concatenate(hits)
-    if isinstance(c, (FinitePointSet, PatchConfig)):
-        index = _index(c)
-        owner, idx = index.ball(pts, np.full(len(pts), tol.dedup_tol))
-        near = np.linalg.norm(index.points[idx] - pts[owner], axis=1) <= tol.dedup_tol
-        return np.bincount(owner[near], minlength=len(pts)) > 0
-    raise TypeError(f"unsupported configuration type {type(c)!r}")
+    index = _index(c)
+    owner, idx = index.ball(pts, np.full(len(pts), tol.dedup_tol))
+    near = np.linalg.norm(index.points[idx] - pts[owner], axis=1) <= tol.dedup_tol
+    return np.bincount(owner[near], minlength=len(pts)) > 0
 
 
 def _collinear_direction(pts, rel_tol=1e-9):

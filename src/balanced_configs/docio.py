@@ -316,27 +316,13 @@ def document_from(config, metadata=None):
     labels = getattr(config, "labels", None)
     if labels is not None and "labels" not in meta:
         meta["labels"] = ",".join(labels)
-    if isinstance(config, PeriodicConfig):
-        return ConfigDocument(
-            space="euclidean2",
-            kind="periodic",
-            points=config.motif,
-            basis=config.basis,
-            metadata=meta,
-        )
-    if isinstance(config, PatchConfig):
-        return ConfigDocument(
-            space="hyperbolic2",
-            kind="patch",
-            points=config.points,
-            patch_radius=float(config.patch_radius),
-            metadata=meta,
-        )
-    if isinstance(config, FinitePointSet):
-        return ConfigDocument(
-            space=_DOC_SPACE[config.space],
-            kind="finite",
-            points=config.points,
-            metadata=meta,
-        )
-    raise TypeError(f"unsupported configuration object {type(config).__name__}")
+    periodic = isinstance(config, PeriodicConfig)
+    kind = "periodic" if periodic else "patch" if isinstance(config, PatchConfig) else "finite"
+    return ConfigDocument(
+        space=_DOC_SPACE[config.space],
+        kind=kind,
+        points=config.motif if periodic else config.points,
+        basis=config.basis if periodic else None,
+        patch_radius=float(config.patch_radius) if kind == "patch" else None,
+        metadata=meta,
+    )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configs import FinitePointSet, PatchConfig, PeriodicConfig
+from .configs import PeriodicConfig, _translate_steps
 from .errors import RenderError
 
 # per shape: the marker text, %-formatted from the columns that its function
@@ -27,17 +27,6 @@ _SHAPES = (
      lambda x, y, r: (x, y - r, x + r, y + r, x - r, y + r)),
 )
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
-
-
-def _translate_box(basis, delta, radius, pad=1):
-    """Integer (a, b) pairs with |delta + a v1 + b v2| possibly <= radius."""
-    inv = np.linalg.inv(basis)
-    center = -np.asarray(delta) @ inv
-    spans = radius * np.linalg.norm(inv, axis=0) + pad
-    a = np.arange(math.ceil(center[0] - spans[0]), math.floor(center[0] + spans[0]) + 1)
-    b = np.arange(math.ceil(center[1] - spans[1]), math.floor(center[1] + spans[1]) + 1)
-    aa, bb = np.meshgrid(a, b, indexing="ij")
-    return np.column_stack([aa.ravel(), bb.ravel()]).astype(float)
 
 
 @dataclass(frozen=True)
@@ -68,7 +57,7 @@ class RenderStyle:
             (x0, x1), (y0, y1) = self.window
         elif isinstance(config, PeriodicConfig):
             raise RenderError("periodic configurations require an explicit render window")
-        elif isinstance(config, PatchConfig) or config.space == "disk":
+        elif config.space == "disk":
             (x0, x1), (y0, y1) = (-1.05, 1.05), (-1.05, 1.05)
         else:
             pts = np.asarray(config.points, dtype=float)[:, :2]
@@ -90,15 +79,17 @@ def _gather(config, window):
     if isinstance(config, PeriodicConfig):
         center = np.array([(x0 + x1) / 2.0, (y0 + y1) / 2.0])
         radius = 0.5 * math.hypot(x1 - x0, y1 - y0)
+        inv, span, steps = _translate_steps(config.basis, radius)
+        # each motif point's translates p + n @ basis that can reach the window
         boxes = [
-            p + _translate_box(config.basis, p - center, radius, pad=1) @ config.basis
+            p + (np.ceil(-(p - center) @ inv - span) + steps) @ config.basis
             for p in config.cartesian_motif()
         ]
         pts = np.concatenate(boxes)
         labels = config.labels or ("point",) * config.k
         owner = np.repeat(np.arange(config.k), [len(b) for b in boxes])
     else:
-        if isinstance(config, FinitePointSet) and config.space == "sphere":
+        if config.space == "sphere":
             raise RenderError("sphere configurations are not renderable as flat figures")
         pts = np.asarray(config.points)
         labels = config.labels or ("point",) * config.n
@@ -127,10 +118,7 @@ def render_svg(config, style=None):
     width, height = span_x * scale, span_y * scale
 
     body = []
-    if style.show_boundary and (
-        isinstance(config, PatchConfig)
-        or (isinstance(config, FinitePointSet) and config.space == "disk")
-    ):
+    if style.show_boundary and config.space == "disk":
         cx, cy = (0.0 - x0) * scale, (y1 - 0.0) * scale
         body.append(
             f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="{scale:.3f}" '

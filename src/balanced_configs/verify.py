@@ -7,9 +7,15 @@ are checked (translation invariance is exact by construction); for finite
 windows and hyperbolic patches, verification is restricted to base points
 whose whole neighborhood up to the cutoff is known.
 
-Each verifier makes one call to the neighbour kernel of ``configs`` for all
-of its base points and one call to its clusterer, then computes only its own
-residual per class, on flat arrays, which the report keeps as its columns.
+Every verifier runs the one balance path, ``_balance``: one call to the
+neighbour kernel of ``configs`` for all of its base points, one call to its
+clusterer, and the report, which keeps the classes as columns.  A verifier
+supplies only its guard, its cutoff, its base points and its residual per
+class, computed on the flat arrays: the displacement sum in the plane, the
+cross product or tangent projection on the sphere, the unit Mobius
+directions in the disk.  Guards read the container's ``space``; only the
+choice of base points, and the hyperbolic verifier's need for a certified
+patch, depend on the container's kind.
 """
 from __future__ import annotations
 
@@ -153,11 +159,30 @@ class BalanceReport:
         }
 
 
+def _balance(c, bases, cutoff, tol, residual, note):
+    """The one balance path: one kernel call for every base point, one
+    clusterer call, and the report.  residual(bases, owner, pts, starts,
+    sizes) gives each class's residual row from the kernel's flat arrays and
+    the clusterer's class starts and sizes; it is all a geometry adds."""
+    owner, pts, d = _neighbors(c, bases, cutoff + tol.class_tol, tol.dedup_tol)
+    starts, sizes, means = _cluster(owner, d, tol.class_tol)
+    return BalanceReport(
+        bases, owner[starts], means, sizes, residual(bases, owner, pts, starts, sizes),
+        cutoff=cutoff,
+        residual_tol=tol.residual_tol,
+        notes=[note],
+    )
+
+
+def _displacement(bases, owner, pts, starts, sizes):
+    return np.add.reduceat(pts, starts) - sizes[:, None] * bases[owner[starts]]
+
+
 def verify_plane(c, params=VerifyParams()):
     """Check that, at every verified point, each distance class up to the
     cutoff has displacement vectors summing to zero."""
     tol = params.tol
-    if not (isinstance(c, PeriodicConfig) or (isinstance(c, FinitePointSet) and c.space == "plane")):
+    if c.space != "plane":
         raise ValueError("verify_plane requires a PeriodicConfig or a planar FinitePointSet")
     cutoff = params.max_radius * min_distance(c, tol)
     bases = _base_points_for(c, cutoff, tol)
@@ -165,16 +190,19 @@ def verify_plane(c, params=VerifyParams()):
         note = "verified motif representatives; translation covers the rest"
     else:
         note = f"verified {len(bases)} of {c.n} points with a full in-window neighborhood"
-    owner, pts, d = _neighbors(c, bases, cutoff + tol.class_tol, tol.dedup_tol)
-    starts, sizes, means = _cluster(owner, d, tol.class_tol)
-    class_owner = owner[starts]
-    residuals = np.add.reduceat(pts, starts) - sizes[:, None] * bases[class_owner]
-    return BalanceReport(
-        bases, class_owner, means, sizes, residuals,
-        cutoff=cutoff,
-        residual_tol=tol.residual_tol,
-        notes=[note],
-    )
+    return _balance(c, bases, cutoff, tol, _displacement, note)
+
+
+def _cross_product(bases, owner, pts, starts, sizes):
+    return np.cross(np.add.reduceat(pts, starts), bases[owner[starts]])
+
+
+def _tangent_projection(bases, owner, pts, starts, sizes):
+    totals, base = np.add.reduceat(pts, starts), bases[owner[starts]]
+    return totals - _row_dots(totals, base)[:, None] * base
+
+
+_SPHERE_RESIDUALS = {"scalar_multiple": _cross_product, "tangent_projection": _tangent_projection}
 
 
 def verify_sphere(c, params=VerifyParams(), mode="scalar_multiple"):
@@ -185,27 +213,19 @@ def verify_sphere(c, params=VerifyParams(), mode="scalar_multiple"):
     tangent_projection: the class sum of tangent-plane projections must
     vanish.  The two residuals are mathematically identical in norm.
     """
-    if not (isinstance(c, FinitePointSet) and c.space == "sphere"):
+    if c.space != "sphere":
         raise ValueError("verify_sphere requires a FinitePointSet on the sphere")
-    if mode not in ("scalar_multiple", "tangent_projection"):
+    if mode not in _SPHERE_RESIDUALS:
         raise ValueError(f"unknown mode {mode!r}")
     tol = params.tol
     cutoff = params.max_radius * min_distance(c, tol)
-    owner, pts, d = _neighbors(c, c.points, cutoff + tol.class_tol, tol.dedup_tol)
-    starts, sizes, means = _cluster(owner, d, tol.class_tol)
-    class_owner = owner[starts]
-    totals = np.add.reduceat(pts, starts)
-    base = c.points[class_owner]
-    if mode == "scalar_multiple":
-        residuals = np.cross(totals, base)
-    else:
-        residuals = totals - _row_dots(totals, base)[:, None] * base
-    return BalanceReport(
-        c.points, class_owner, means, sizes, residuals,
-        cutoff=cutoff,
-        residual_tol=tol.residual_tol,
-        notes=[f"mode: {mode}"],
-    )
+    return _balance(c, c.points, cutoff, tol, _SPHERE_RESIDUALS[mode], f"mode: {mode}")
+
+
+def _mobius_directions(bases, owner, pts, starts, sizes):
+    w = hyperbolic._translate(_as_complex(bases)[owner], _as_complex(pts))
+    totals = np.add.reduceat(w / np.abs(w), starts)
+    return np.column_stack([totals.real, totals.imag])
 
 
 def verify_hyperbolic(c, params=VerifyParams()):
@@ -228,17 +248,7 @@ def verify_hyperbolic(c, params=VerifyParams()):
         raise InsufficientPatchError(
             f"no point has verifiable_radius >= {cutoff}; patch_radius is {c.patch_radius}"
         )
-    owner, pts, d = _neighbors(c, bases, cutoff + tol.class_tol, tol.dedup_tol)
-    starts, sizes, means = _cluster(owner, d, tol.class_tol)
-    w = hyperbolic._translate(_as_complex(bases)[owner], _as_complex(pts))
-    totals = np.add.reduceat(w / np.abs(w), starts)
-    residuals = np.column_stack([totals.real, totals.imag])
-    return BalanceReport(
-        bases, owner[starts], means, sizes, residuals,
-        cutoff=cutoff,
-        residual_tol=tol.residual_tol,
-        notes=[f"certified patch radius {c.patch_radius}"],
-    )
+    return _balance(c, bases, cutoff, tol, _mobius_directions, f"certified patch radius {c.patch_radius}")
 
 
 def _base_points_for(c, reach, tol):
@@ -249,18 +259,16 @@ def _base_points_for(c, reach, tol):
         return c.cartesian_motif()
     if isinstance(c, PatchConfig):
         return c.points[c.patch_radius - c.center_dists() >= reach]
-    if isinstance(c, FinitePointSet):
-        if c.space == "plane":
-            return c.points[_windowed_plane_bases(c.points, reach, tol)]
-        return c.points
-    raise TypeError(f"unsupported configuration type {type(c)!r}")
+    if c.space == "plane":
+        return c.points[_windowed_plane_bases(c.points, reach, tol)]
+    return c.points
 
 
 def max_neighbor_count(c, params=VerifyParams()):
     """Largest number of minimal-distance neighbors over the verified points."""
     tol = params.tol
     min_d = min_distance(c, tol)
-    reach = min_d + tol.class_tol if isinstance(c, PatchConfig) else params.max_radius * min_d
+    reach = min_d + tol.class_tol if c.space == "disk" else params.max_radius * min_d
     bases = _base_points_for(c, reach, tol)
     owner = _neighbors(c, bases, min_d + tol.class_tol, tol.dedup_tol)[0]
     return int(np.bincount(owner, minlength=1).max())
@@ -270,34 +278,31 @@ def check_min_distance_property(c, window=None, tol=DEFAULT_TOL):
     """Minimal distance over a window and whether an explicit pair attains it.
 
     window, when given, is a radius: points beyond it (from the centroid for
-    finite sets, from the disk center for patches) are excluded.  The result
+    finite sets, from the disk center on the disk) are excluded.  The result
     is flagged window-dependent whenever the window actually excluded points,
-    since a different window could then report a different value.
+    since a different window could then report a different value.  Without
+    a window, or when it excludes nothing, the configuration itself is
+    queried, through the index it keeps.
     """
     if isinstance(c, PeriodicConfig):
         d = min_distance(c, tol)
         return {"min_d": d, "attained": True, "pair": None, "window_dependent": False}
-    if isinstance(c, FinitePointSet):
-        pts, space = c.points, c.space
-        center = pts.mean(axis=0)
-        if space == "sphere":
-            center /= np.linalg.norm(center) if np.linalg.norm(center) > 0 else 1.0
-    elif isinstance(c, PatchConfig):
-        pts, space = c.points, "disk"
-        center = np.zeros(2)
-    else:
-        raise TypeError(f"unsupported configuration type {type(c)!r}")
     excluded = False
     if window is not None:
-        if space == "disk":
-            keep = _pair_dists(space, np.zeros(2), pts) <= window
+        pts = c.points
+        if c.space == "disk":
+            keep = _pair_dists("disk", np.zeros(2), pts) <= window
         else:
+            center = pts.mean(axis=0)
+            if c.space == "sphere":
+                center /= np.linalg.norm(center) if np.linalg.norm(center) > 0 else 1.0
             keep = np.linalg.norm(pts - center, axis=1) <= window
         excluded = bool((~keep).any())
-        pts = pts[keep]
-    if len(pts) < 2:
+        if excluded:
+            c = FinitePointSet(c.space, pts[keep])
+    if c.n < 2:
         raise NoPairsError("at least two points are required in the window")
-    d, p, q = _closest_pair(FinitePointSet(space, pts))
+    d, p, q = _closest_pair(c)
     return {
         "min_d": d,
         "attained": True,

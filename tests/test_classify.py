@@ -4,6 +4,7 @@ shells, and classification round-trips under random similarities."""
 import cmath
 import importlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -379,3 +380,40 @@ class TestBatchedWitnessSearch:
         finally:
             tracemalloc.stop()
         assert peak < 1_500_000
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name made through any loaded package module,
+    by rebinding every package namespace that refers to it (as a span tracer
+    placed from outside the package does)."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "balanced_configs" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+class TestTracedLayers:
+    """The traced benchmark (perfbench/run.py --trace 1) measures the
+    configs.points_within and configs.distance_classes layers only through
+    these classify calls; without them a traced run raises "no spans for
+    per-layer metrics".  This guard goes away once the per-layer metrics
+    come from the package's own stage stats (ROADMAP item 1)."""
+
+    CONFIG = gen_hexagonal(1.0, SubsetFlags(True, True, True))
+
+    def test_classify_calls_points_within(self, monkeypatch):
+        calls = _count_calls(monkeypatch, importlib.import_module("balanced_configs.configs"), "points_within")
+        assert classify(self.CONFIG).tag == HEX_WITH_MIDPOINTS_AND_CENTERS
+        assert calls
+
+    def test_group_balance_calls_distance_classes(self, monkeypatch):
+        calls = _count_calls(monkeypatch, importlib.import_module("balanced_configs.configs"), "distance_classes")
+        assert is_group_balanced(self.CONFIG).verdict
+        assert calls

@@ -1,6 +1,7 @@
 """Configuration containers and distance queries, checked against exhaustive
 translate-scan oracles built independently of the library's lattice
 reduction."""
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from balanced_configs.configs import (
     _neighbors,
     _period_denominator,
     _row_dots,
+    _translate_steps,
     canonical_basis,
     contains,
     contains_many,
@@ -23,7 +25,7 @@ from balanced_configs.configs import (
     points_within,
     primitive_periods,
 )
-from balanced_configs.errors import AmbiguousClassError, NoPairsError
+from balanced_configs.errors import AmbiguousClassError, NoPairsError, ParameterDomainError
 from balanced_configs.generators import SubsetFlags, gen_hexagonal, gen_lattice, gen_triangular
 from balanced_configs.geometry import DEFAULT_TOL, Tolerance
 from balanced_configs.hyperbolic import hyp_dist
@@ -79,6 +81,62 @@ class TestPeriodicConfig:
         assert contains(t, (1.0, 2.0))
         assert contains(t, (1.0, 4.0))
         assert min_distance(t) == pytest.approx(2.0, abs=1e-12)
+
+
+class TestSpace:
+    """Every container names its space; only FinitePointSet takes it as a
+    field, the others hold it as a class constant."""
+
+    def test_space_of_each_container(self):
+        assert PeriodicConfig(np.eye(2), np.zeros((1, 2))).space == "plane"
+        assert PatchConfig(np.zeros((1, 2)), 1.0).space == "disk"
+        for space, dim in (("plane", 2), ("sphere", 3), ("disk", 2)):
+            pts = np.zeros((1, dim))
+            pts[0, 0] = 1.0 if space == "sphere" else 0.0
+            assert FinitePointSet(space, pts).space == space
+
+    def test_space_is_no_init_field(self):
+        names = {
+            PeriodicConfig: ["basis", "motif", "labels", "_reduced", "_min_d"],
+            PatchConfig: ["points", "patch_radius", "labels", "_index"],
+            FinitePointSet: ["space", "points", "labels", "_index"],
+        }
+        for cls, want in names.items():
+            assert [f.name for f in dataclasses.fields(cls)] == want
+        with pytest.raises(TypeError):
+            PeriodicConfig(np.eye(2), np.zeros((1, 2)), space="disk")
+        with pytest.raises(TypeError):
+            PatchConfig(np.zeros((1, 2)), 1.0, space="plane")
+
+
+class TestTranslateSteps:
+    """One rule picks the lattice translates that can reach a ball, for the
+    periodic kernel and for render; a box past 2**31 translates per point is
+    refused before it is allocated."""
+
+    HEX = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+
+    def test_box_covers_the_ball(self):
+        inv, span, steps = _translate_steps(self.HEX, 3.0)
+        assert np.array_equal(inv, np.linalg.inv(self.HEX))
+        assert steps.shape == (int(2 * span[0] + 1) * int(2 * span[1] + 1), 2)
+        # every translate of the origin within the ball, seen from base
+        base = np.array([0.3, -0.2])
+        box = np.ceil(base @ inv - span) + steps
+        near = brute_points_within(self.HEX, [[0.0, 0.0]], base, 3.0)
+        got = {(round(x, 9), round(y, 9)) for x, y in (box @ self.HEX).tolist()}
+        assert set(near) <= got
+
+    def test_radius_2000_is_not_refused(self):
+        # the hexagonal document verifies at --max-radius 2000 (a 2.5 GB
+        # query); only the helper runs here
+        _, _, steps = _translate_steps(self.HEX, 2000.0 + DEFAULT_TOL.class_tol)
+        assert len(steps) == 4621 * 4621
+
+    @pytest.mark.parametrize("radius", [1e5, 1e9, 1e300, 1.7e308, math.inf, math.nan])
+    def test_oversized_box_refused(self, radius):
+        with pytest.raises(ParameterDomainError, match=r"more than 2\*\*31 translates"):
+            _translate_steps(self.HEX, radius)
 
 
 class TestDistanceQueries:

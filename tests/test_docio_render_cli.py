@@ -687,6 +687,18 @@ class TestCli:
         assert _run(capsys, ["lemmas", "--samples", "99"])[0] == 2
         assert _run(capsys, ["lemmas", "--match-tol", "1e-9"])[0] == 1
 
+    @pytest.mark.parametrize(
+        "flags, want",
+        [
+            ([], (0, "5fc67095ff0ece7e89c712337f3c1c4d5089e546a2ad4ce85ef5a62fdcb6f09c")),
+            (["--match-tol", "1e-9"], (1, "7ae5fb6520641fd464149b08c1a7e0e6d32693f1204f346f122cb93a93f00f44")),
+        ],
+    )
+    def test_lemmas_stdout_pinned(self, capsys, flags, want):
+        # the entries are the catalog results' fields in declaration order
+        code, out, _ = _run(capsys, ["lemmas", *flags])
+        assert (code, _sha(out)) == want
+
     def test_render_command(self, capsys, tmp_path):
         doc = tmp_path / "hex.json"
         doc.write_text(
@@ -772,6 +784,12 @@ class TestCli:
             (["verify", "{tmp}/ngon.json", "--max-radius", "inf"], "max_radius must be positive and finite"),
             # absolutely but not relatively independent basis rows
             (["verify", "{tmp}/thin.json"], "basis vectors must be linearly independent"),
+            # lattice windows past 2**31 translates per point
+            (["verify", "{tmp}/hex.json", "--max-radius", "1e300"], "more than 2**31 translates"),
+            (["verify", "{tmp}/hex.json", "--max-radius", "1e9"], "more than 2**31 translates"),
+            (["verify", "{tmp}/hex.json", "--max-radius", "1e5"], "more than 2**31 translates"),
+            (["render", "{tmp}/hex.json", "--window=-1e300,1e300,-1e300,1e300"], "more than 2**31 translates"),
+            (["render", "{tmp}/hex.json", "--window=-1e6,1e6,-1e6,1e6"], "more than 2**31 translates"),
         ],
     )
     def test_typed_refusals_exit_two(self, capsys, tmp_path, argv, message):

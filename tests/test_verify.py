@@ -19,6 +19,7 @@ from balanced_configs.configs import (
     FinitePointSet,
     PatchConfig,
     PeriodicConfig,
+    _index,
     distance_classes,
     min_distance,
 )
@@ -511,6 +512,27 @@ class TestMinDistanceProperty:
         out = check_min_distance_property(c)
         p, q = (np.asarray(v) for v in out["pair"])
         assert np.linalg.norm(p - q) == pytest.approx(out["min_d"], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "config, wide",
+        [
+            (FinitePointSet("plane", np.array([(x, y) for x in np.arange(5.0) for y in np.arange(5.0)])), 1e3),
+            (gen_sphere("cube", SubsetFlags(True, True, True)), 10.0),
+            (gen_hyp_triangle_group(TriangleGroupParams(2, 3, 7, 3), TriangleGroupFlags(True, True, True)), 1e3),
+        ],
+        ids=["plane", "sphere", "patch"],
+    )
+    def test_no_window_queries_the_container(self, config, wide, monkeypatch):
+        # without a window the container's own polar index answers, and no
+        # other is built; a window that excludes nothing gives the same pair
+        index = _index(config)
+        built = []
+        polar_index = balanced_configs.configs._PolarIndex
+        monkeypatch.setattr(balanced_configs.configs, "_PolarIndex", lambda *a: built.append(a) or polar_index(*a))
+        out = check_min_distance_property(config)
+        assert config._index is index and not built
+        assert check_min_distance_property(config, window=wide) == out
+        assert not out["window_dependent"]
 
 
 def _depth4_tiling():
