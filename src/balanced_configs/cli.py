@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -423,6 +424,11 @@ def main(argv=None):
 
 
 def console_main():
+    # Move the import-time heap, numpy's objects above all, out of the
+    # collector's reach: a tiling build allocates enough to trigger many
+    # collections, and each would otherwise rescan that heap.  This stays out
+    # of main, which tests and other callers run inside their own processes.
+    gc.freeze()
     raise SystemExit(main())
 
 

@@ -9,13 +9,15 @@ nearest-frontier-first until the in-radius of the tile union reaches a
 depth-proportional target, so the certified radius grows linearly with depth
 regardless of the combinatorial branching of the tiling.  A family supplies
 only its move across a frontier edge (a reflection, or a half-turn about the
-edge's midpoint) and the order in which it pushes a tile's edges.
+edge's midpoint) and the order in which it pushes a tile's edges.  The core
+keeps its edges in flat per-edge lists and deduplicates vertices in a
+spatial-hash _PointStore as they are made; it checks midpoints in bulk with
+numpy and replays them through a _PointStore only when that check fails.
 """
 from __future__ import annotations
 
 import cmath
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -389,6 +391,49 @@ def _triangle_sides(angle_a, angle_b, angle_c):
 _ENDS = ((1, 2), (0, 2), (0, 1))
 
 
+def _certified(mids):
+    """Whether interning the midpoints mids one by one keeps every one of
+    them: all lie in the open disk and no two are within 2 * _DEDUP.  The
+    margin of one more _DEDUP keeps the verdict off the store's own
+    threshold.  A pair within 2 * _DEDUP is within it along x too, so with
+    the points sorted by x each is compared with the next, the one after,
+    and so on, until the gap along x exceeds the margin."""
+    z = np.array(mids, dtype=complex)
+    if not (np.abs(z) < 1.0).all():  # NaN fails too
+        return False
+    z = z[np.argsort(z.real)]
+    x = z.real
+    i = np.arange(len(z) - 1)
+    s = 1
+    while i.size:
+        i = i[x[i + s] - x[i] <= 2.0 * _DEDUP]
+        if (np.abs(z[i + s] - z[i]) <= 2.0 * _DEDUP).any():
+            return False
+        s += 1
+        i = i[i + s < len(z)]
+    return True
+
+
+def _intern_midpoints(mids, classes):
+    """The midpoints, and their classes, that interning mids one by one in a
+    _PointStore keeps.  When _certified vouches for all of them they are the
+    input; otherwise the store replays them, raising InvalidPointError for a
+    point off the disk and RuntimeError for two midpoints of different
+    classes within _DEDUP of each other, and dropping a repeat of the same
+    class."""
+    if _certified(mids):
+        return mids, classes
+    store = _PointStore()
+    kept = []
+    for z, k in zip(mids, classes):
+        i, created = store.intern(z)
+        if created:
+            kept.append(k)
+        elif kept[i] != k:
+            raise RuntimeError("edge-midpoint class collision in hyperbolic tiling")
+    return store.pos, kept
+
+
 def _grow(angles, depth, turn, swap, order):
     """Tile the disk by the triangle with the given angles, crossing the open
     edge nearest the origin first, until that edge is depth * 2/3 * (longest
@@ -404,6 +449,12 @@ def _grow(angles, depth, turn, swap, order):
     in push order (edge is the crossed edge, None for the seed), which breaks
     distance ties.  Returns (vertices, roles, midpoints, midpoint classes,
     patch_radius), roles[i] being vertex i's role in the tile that made it.
+
+    Edges live in a table indexed by the order they were pushed, which also
+    breaks heap ties.  Midpoints are checked in bulk by _intern_midpoints
+    whenever the edge count has doubled since the last check, before any
+    other growth error is raised, and at the end, so a midpoint fault stops
+    the growth within twice the work that reached it.
     """
     sides = _triangle_sides(*angles)
     stop = depth * _DEPTH_STEP_FRACTION * max(sides)
@@ -414,50 +465,55 @@ def _grow(angles, depth, turn, swap, order):
     pos = store.pos
     rad = [radial_dist(abs(z)) for z in pos]  # distance of each vertex from the origin
     roles = [0, 1, 2]
-    mstore = _PointStore()
-    mid_classes = []
 
     tiles = {frozenset((0, 1, 2)): (0, 1, 2)}
-    # edge key (u, v) with u < v -> [open, first tile, class, midpoint]
-    edges = {}
+    # the edge table: edge index by ends (u, v), u < v; then per edge its
+    # ends, first tile, class, midpoint, and whether it is still open
+    edge_at = {}
+    eu, ev, etile, eclass, emid = [], [], [], [], []
+    is_open = bytearray()
     heap = []
-    tick = itertools.count()
 
     def push(tile, classes):
         for k in classes:
             i, j = _ENDS[k]
             a, b = tile[i], tile[j]
             ek = (a, b) if a < b else (b, a)
-            entry = edges.get(ek)
-            if entry is not None:
-                if entry[2] != k:
+            e = edge_at.get(ek)
+            if e is not None:
+                if eclass[e] != k:
                     raise RuntimeError("inconsistent edge class in hyperbolic tiling")
-                entry[0] = False
+                is_open[e] = 0
                 continue
-            mid = _midpoint(pos[a], pos[b])
-            midx, created = mstore.intern(mid)
-            if created:
-                mid_classes.append(k)
-            elif mid_classes[midx] != k:
-                raise RuntimeError("edge-midpoint class collision in hyperbolic tiling")
-            edges[ek] = [True, tile, k, mid]
+            e = len(emid)
+            edge_at[ek] = e
+            emid.append(_midpoint(pos[a], pos[b]))
             u, v = ek
-            heapq.heappush(heap, (_segment_dist(pos[u], pos[v], min(rad[u], rad[v])), next(tick), u, v))
+            eu.append(u)
+            ev.append(v)
+            etile.append(tile)
+            eclass.append(k)
+            is_open.append(1)
+            ru, rv = rad[u], rad[v]
+            heapq.heappush(heap, (_segment_dist(pos[u], pos[v], rv if rv < ru else ru), e))
 
     patch_radius = 0.0
+    checked = 0  # the midpoints that the last check covered
     try:
         push((0, 1, 2), order((0, 1, 2), None))
         while heap:
-            dist, _, u, v = heapq.heappop(heap)
-            entry = edges[(u, v)]
-            if not entry[0]:
+            dist, e = heapq.heappop(heap)
+            if not is_open[e]:
                 continue
             if dist >= stop:
                 patch_radius = dist
                 break
-            entry[0] = False
-            _, tile, k, mid = entry
-            nidx, created = store.intern(turn(pos[u], pos[v], mid, pos[tile[k]]))
+            is_open[e] = 0
+            tile = etile[e]
+            k = eclass[e]
+            u = eu[e]
+            v = ev[e]
+            nidx, created = store.intern(turn(pos[u], pos[v], emid[e], pos[tile[k]]))
             if created:
                 rad.append(radial_dist(abs(pos[nidx])))
                 roles.append(k)
@@ -475,11 +531,19 @@ def _grow(angles, depth, turn, swap, order):
                 continue
             tiles[key] = new_tile
             push(new_tile, order(new_tile, (u, v)))
-    except DegenerateDirectionError as exc:
-        raise ParameterDomainError(
-            f"depth {depth} reaches tiles too close to the disk boundary to resolve: {exc}"
-        ) from exc
-    return pos, roles, mstore.pos, mid_classes, patch_radius
+            if len(emid) >= 2 * checked:
+                checked = len(emid)
+                _intern_midpoints(emid, eclass)
+    except Exception as exc:
+        if len(emid) > checked:  # a midpoint fault made before exc is the one to raise
+            _intern_midpoints(emid, eclass)
+        if isinstance(exc, DegenerateDirectionError):
+            raise ParameterDomainError(
+                f"depth {depth} reaches tiles too close to the disk boundary to resolve: {exc}"
+            ) from exc
+        raise
+    mids, mid_classes = _intern_midpoints(emid, eclass)
+    return pos, roles, mids, mid_classes, patch_radius
 
 
 def _reflect_move(a, b, mid, z):

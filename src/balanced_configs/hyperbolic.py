@@ -8,14 +8,16 @@ translated to the origin) agree with their Euclidean counterparts.
 The public functions are as_disk_point, which coerces and checks one point,
 and hyp_dist, hyp_log_dir, radial_dist and euclid_radius.  Every other map is
 a private core (_translate, _untranslate, _dist, _log_dir, _midpoint,
-_half_turn, _reflect_through, _geodesic, _segment_dist) that takes complex
-numbers already known to lie in the open disk and does no checking of its
-own.  Every formula lives in its core only; the one tiling growth core,
-generators._grow, calls the cores directly and validates each point once,
-when it is created.  _geodesic raises DegenerateDirectionError for two points
-so close near the boundary that rounding leaves no circle through them.
-_dist, the one disk distance, is accurate up to the boundary and also takes
-numpy arrays; configs filters its neighbour queries by it.
+_half_turn, _reflect_through, _segment_dist) that takes complex numbers
+already known to lie in the open disk and does no checking of its own.
+Every formula lives in its core only.  The one tiling growth core,
+generators._grow, calls the cores directly; it validates each vertex when
+it is created and its midpoints in bulk.  _segment_dist, which it calls once
+per edge, holds the circle through two points and raises
+DegenerateDirectionError for two points so close near the boundary that
+rounding leaves no circle through them.  _dist, the one disk distance, is
+accurate up to the boundary and also takes numpy arrays; configs filters its
+neighbour queries by it.
 """
 from __future__ import annotations
 
@@ -105,30 +107,6 @@ def hyp_log_dir(base, target, dedup_tol=1e-9):
     return _log_dir(as_disk_point(base), as_disk_point(target), dedup_tol)
 
 
-def _geodesic(a, b, dedup_tol=1e-9):
-    """The geodesic through two distinct points as (kind, direction, center,
-    radius): a diameter with a unit direction, or an arc of the circle
-    |z - center| = radius orthogonal to the unit circle."""
-    if abs(a - b) <= dedup_tol:
-        raise DegenerateDirectionError("two distinct points are required to span a geodesic")
-    cross = a.real * b.imag - a.imag * b.real
-    # Collinear with the origin: the geodesic is a diameter.
-    if abs(cross) <= 1e-13 * max(abs(a) * abs(b), abs(a - b)):
-        return "diameter", (b - a) / abs(b - a), 0j, 0.0
-    # Solve for the center of the circle through a, b orthogonal to the unit
-    # circle: 2 c . p = |p|^2 + 1 for p in {a, b}.
-    ra = abs(a) ** 2 + 1.0
-    rb = abs(b) ** 2 + 1.0
-    det = 2.0 * cross
-    cx = (ra * b.imag - rb * a.imag) / det
-    cy = (rb * a.real - ra * b.real) / det
-    c = complex(cx, cy)
-    r2 = abs(c) ** 2 - 1.0
-    if not r2 > 0.0:  # rounding of points 1e-6 apart near the boundary
-        raise DegenerateDirectionError("the points are too close to resolve the geodesic through them")
-    return "arc", 0j, c, math.sqrt(r2)
-
-
 def _reflect_through(a, b, z):
     """Reflect z across the geodesic through a and b.
 
@@ -147,23 +125,45 @@ def _segment_dist(a, b, end):
     Exact (up to roundoff): hyperbolic distance from the origin is monotone in
     Euclidean radius, so the nearest point of a circular arc is either the
     point of the full circle facing the origin (when it lies on the arc) or an
-    endpoint.
+    endpoint.  Raises DegenerateDirectionError for two points so close near
+    the boundary that rounding leaves no geodesic through them.
     """
-    if abs(a - b) <= 1e-15:
+    ab = b - a
+    d = abs(ab)
+    if d <= 1e-15:
         return end
-    kind, direction, center, radius = _geodesic(a, b)
-    if kind == "diameter":
-        # The origin lies on the carrier line; distance is zero iff the origin
-        # sits between the endpoints along the diameter.
+    if d <= 1e-9:
+        raise DegenerateDirectionError("two distinct points are required to span a geodesic")
+    na = abs(a)
+    nb = abs(b)
+    cross = a.real * b.imag - a.imag * b.real
+    scale = na * nb
+    if d > scale:
+        scale = d
+    if abs(cross) <= 1e-13 * scale:
+        # Collinear with the origin: the geodesic is a diameter, and the
+        # distance is zero iff the origin sits between the endpoints on it.
+        direction = ab / d
         ta = (a / direction).real
         tb = (b / direction).real
-        if min(ta, tb) <= 0.0 <= max(ta, tb):
+        if ta <= 0.0 <= tb or tb <= 0.0 <= ta:
             return 0.0
         return end
-    foot = center - radius * (center / abs(center))
-    # Is the facing point inside the arc spanned by a and b?
-    pa = cmath.phase((a - center) / (foot - center))
-    pb = cmath.phase((b - center) / (foot - center))
-    if min(pa, pb) <= 0.0 <= max(pa, pb):
-        return radial_dist(abs(center) - radius)
+    # The geodesic is an arc of the circle |z - c| = radius orthogonal to the
+    # unit circle: 2 c . p = |p|^2 + 1 for p in {a, b}.
+    ra = na ** 2 + 1.0
+    rb = nb ** 2 + 1.0
+    det = 2.0 * cross
+    c = complex((ra * b.imag - rb * a.imag) / det, (rb * a.real - ra * b.real) / det)
+    nc = abs(c)
+    r2 = nc ** 2 - 1.0
+    if not r2 > 0.0:  # rounding of points 1e-6 apart near the boundary
+        raise DegenerateDirectionError("the points are too close to resolve the geodesic through them")
+    radius = math.sqrt(r2)
+    # Is the point of the circle facing the origin inside the arc spanned by a and b?
+    facing = (c - radius * (c / nc)) - c
+    pa = cmath.phase((a - c) / facing)
+    pb = cmath.phase((b - c) / facing)
+    if pa <= 0.0 <= pb or pb <= 0.0 <= pa:
+        return radial_dist(nc - radius)
     return end

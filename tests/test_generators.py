@@ -1,8 +1,11 @@
 """Generator structure checks: motif composition, polyhedron counts, seed
-triangle geometry measured independently, growth monotonicity, and patch
-completeness cross-checked against deeper builds."""
+triangle geometry measured independently, growth monotonicity, patch
+completeness cross-checked against deeper builds, and the hyperbolic growth
+core against the growth loop it replaced."""
 import cmath
 import hashlib
+import heapq
+import itertools
 import math
 import os
 import subprocess
@@ -15,14 +18,19 @@ from scipy.spatial import ConvexHull, cKDTree
 import balanced_configs
 from balanced_configs.configs import min_distance, points_within
 from balanced_configs.docio import document_from, serialize
-from balanced_configs.errors import InvalidPointError, ParameterDomainError
+from balanced_configs.errors import DegenerateDirectionError, InvalidPointError, ParameterDomainError
 from balanced_configs.generators import (
+    _DEPTH_STEP_FRACTION,
+    _ENDS,
     _PointStore,
+    _build_rotation_tiling,
+    _build_triangle_group,
     _grow,
     _half_turn_move,
     _reflect_move,
     _reflection_order,
     _rotation_order,
+    _triangle_sides,
     RotationTilingFlags,
     RotationTilingParams,
     SubsetFlags,
@@ -37,7 +45,14 @@ from balanced_configs.generators import (
     gen_triangular,
     parse_sphere_kind,
 )
-from balanced_configs.hyperbolic import hyp_dist, hyp_log_dir
+from balanced_configs.hyperbolic import (
+    _midpoint,
+    _segment_dist,
+    euclid_radius,
+    hyp_dist,
+    hyp_log_dir,
+    radial_dist,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -431,3 +446,146 @@ class TestGrowthChecks:
     def test_wrong_role_swap_raises(self, angles, turn, swap, order):
         with pytest.raises(RuntimeError, match="inconsistent edge class"):
             _grow(angles, 2, turn, swap, order)
+
+
+def _dict_grow(angles, depth, turn, swap, order):
+    """The growth loop that the flat edge table replaced, kept as the oracle:
+    edges in a dict of 4-item lists, heap ties broken by a counter, and every
+    midpoint interned in a second _PointStore as it is made."""
+    sides = _triangle_sides(*angles)
+    stop = depth * _DEPTH_STEP_FRACTION * max(sides)
+
+    store = _PointStore()
+    for z in (0j, complex(euclid_radius(sides[2]), 0.0), euclid_radius(sides[1]) * cmath.exp(1j * angles[0])):
+        store.intern(z)
+    pos = store.pos
+    rad = [radial_dist(abs(z)) for z in pos]
+    roles = [0, 1, 2]
+    mstore = _PointStore()
+    mid_classes = []
+
+    tiles = {frozenset((0, 1, 2)): (0, 1, 2)}
+    edges = {}
+    heap = []
+    tick = itertools.count()
+
+    def push(tile, classes):
+        for k in classes:
+            i, j = _ENDS[k]
+            a, b = tile[i], tile[j]
+            ek = (a, b) if a < b else (b, a)
+            entry = edges.get(ek)
+            if entry is not None:
+                if entry[2] != k:
+                    raise RuntimeError("inconsistent edge class in hyperbolic tiling")
+                entry[0] = False
+                continue
+            mid = _midpoint(pos[a], pos[b])
+            midx, created = mstore.intern(mid)
+            if created:
+                mid_classes.append(k)
+            elif mid_classes[midx] != k:
+                raise RuntimeError("edge-midpoint class collision in hyperbolic tiling")
+            edges[ek] = [True, tile, k, mid]
+            u, v = ek
+            heapq.heappush(heap, (_segment_dist(pos[u], pos[v], min(rad[u], rad[v])), next(tick), u, v))
+
+    patch_radius = 0.0
+    try:
+        push((0, 1, 2), order((0, 1, 2), None))
+        while heap:
+            dist, _, u, v = heapq.heappop(heap)
+            entry = edges[(u, v)]
+            if not entry[0]:
+                continue
+            if dist >= stop:
+                patch_radius = dist
+                break
+            entry[0] = False
+            _, tile, k, mid = entry
+            nidx, created = store.intern(turn(pos[u], pos[v], mid, pos[tile[k]]))
+            if created:
+                rad.append(radial_dist(abs(pos[nidx])))
+                roles.append(k)
+            new_tile = list(tile)
+            new_tile[k] = nidx
+            if swap:
+                i, j = _ENDS[k]
+                new_tile[i], new_tile[j] = tile[j], tile[i]
+            new_tile = tuple(new_tile)
+            key = frozenset(new_tile)
+            prev = tiles.get(key)
+            if prev is not None:
+                if prev != new_tile:
+                    raise RuntimeError("inconsistent tile roles in hyperbolic tiling")
+                continue
+            tiles[key] = new_tile
+            push(new_tile, order(new_tile, (u, v)))
+    except DegenerateDirectionError as exc:
+        raise ParameterDomainError(
+            f"depth {depth} reaches tiles too close to the disk boundary to resolve: {exc}"
+        ) from exc
+    return pos, roles, mstore.pos, mid_classes, patch_radius
+
+
+def _outcome(build, *args):
+    """A build's output with its points as bytes, or its exception's type and
+    message."""
+    try:
+        pos, roles, mids, classes, patch_radius = build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    as_bytes = lambda zs: np.array(zs, dtype=complex).tobytes()  # noqa: E731
+    return as_bytes(pos), roles, as_bytes(mids), classes, patch_radius.hex()
+
+
+# the families of scripts/tiling_digests.py
+_TRIANGLE_GROUPS = ((2, 3, 7), (2, 4, 5), (3, 3, 4), (2, 3, 8), (4, 4, 4), (2, 5, 5), (3, 3, 5))
+_ROTATION_TILINGS = (
+    ((40, 40, 40), 3),
+    ((30, 40, 50), 3),
+    ((20, 30, 40), 4),
+    ((60, 30, 30), 3),
+    ((25, 25, 40), 4),
+    ((10, 20, 42), 5),
+)
+
+
+class TestGrowthOracle:
+    """_grow returns exactly the points, roles, midpoints, classes and
+    patch_radius of the dict-based loop it replaced, or raises the same
+    error."""
+
+    @pytest.mark.parametrize("depth", range(5))
+    @pytest.mark.parametrize("pqr", _TRIANGLE_GROUPS)
+    def test_triangle_groups(self, pqr, depth):
+        angles = tuple(math.pi / n for n in pqr)
+        want = _outcome(_dict_grow, angles, depth, _reflect_move, False, _reflection_order)
+        assert _outcome(_build_triangle_group, *pqr, depth) == want
+
+    @pytest.mark.parametrize("depth", range(5))
+    @pytest.mark.parametrize("degrees, m", _ROTATION_TILINGS)
+    def test_rotation_tilings(self, degrees, m, depth):
+        angles = tuple(math.radians(a) for a in degrees)
+        want = _outcome(_dict_grow, angles, depth, _half_turn_move, True, _rotation_order)
+        assert _outcome(_build_rotation_tiling, *angles, m, depth) == want
+
+
+class TestMidpointCollision:
+    def test_cli_refuses_colliding_midpoints_promptly(self):
+        # two midpoints of different classes fall within the dedup distance;
+        # growth must stop at the next midpoint check, not run on unbounded
+        src = os.path.dirname(os.path.dirname(balanced_configs.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "balanced_configs", "generate", "--family", "rotation-tiling",
+                "--angles", "0.01,0.01,119.98", "--order", "3", "--depth", "1",
+            ],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "edge-midpoint class collision" in proc.stderr

@@ -15,7 +15,6 @@ from balanced_configs.configs import FinitePointSet, PeriodicConfig, _pair_dists
 from balanced_configs.errors import DegenerateDirectionError, InvalidPointError, ParameterDomainError
 from balanced_configs.geometry import Tolerance, as_vec
 from balanced_configs.hyperbolic import (
-    _geodesic,
     _half_turn,
     _log_dir,
     _midpoint,
@@ -43,6 +42,48 @@ def _segment_dist_to_origin(a, b):
     """Hyperbolic distance from the origin to the segment [a, b]: the core
     given the nearer endpoint's distance, as the tiling builders call it."""
     return _segment_dist(a, b, min(radial_dist(abs(a)), radial_dist(abs(b))))
+
+
+def _geodesic(a, b, dedup_tol=1e-9):
+    """The geodesic through two distinct points as (kind, direction, center,
+    radius): a diameter with a unit direction, or an arc of the circle
+    |z - center| = radius orthogonal to the unit circle.  The helper that
+    _segment_dist was built on before it computed each quantity once; kept
+    with _parent_segment_dist as the oracle of its arithmetic."""
+    if abs(a - b) <= dedup_tol:
+        raise DegenerateDirectionError("two distinct points are required to span a geodesic")
+    cross = a.real * b.imag - a.imag * b.real
+    if abs(cross) <= 1e-13 * max(abs(a) * abs(b), abs(a - b)):
+        return "diameter", (b - a) / abs(b - a), 0j, 0.0
+    ra = abs(a) ** 2 + 1.0
+    rb = abs(b) ** 2 + 1.0
+    det = 2.0 * cross
+    cx = (ra * b.imag - rb * a.imag) / det
+    cy = (rb * a.real - ra * b.real) / det
+    c = complex(cx, cy)
+    r2 = abs(c) ** 2 - 1.0
+    if not r2 > 0.0:
+        raise DegenerateDirectionError("the points are too close to resolve the geodesic through them")
+    return "arc", 0j, c, math.sqrt(r2)
+
+
+def _parent_segment_dist(a, b, end):
+    """_segment_dist as it was written through _geodesic."""
+    if abs(a - b) <= 1e-15:
+        return end
+    kind, direction, center, radius = _geodesic(a, b)
+    if kind == "diameter":
+        ta = (a / direction).real
+        tb = (b / direction).real
+        if min(ta, tb) <= 0.0 <= max(ta, tb):
+            return 0.0
+        return end
+    foot = center - radius * (center / abs(center))
+    pa = cmath.phase((a - center) / (foot - center))
+    pb = cmath.phase((b - center) / (foot - center))
+    if min(pa, pb) <= 0.0 <= max(pa, pb):
+        return radial_dist(abs(center) - radius)
+    return end
 
 
 def _metric_length_along_segment(a, b, steps=4000):
@@ -251,6 +292,9 @@ class TestMobiusMaps:
 
 
 class TestGeodesics:
+    """The _geodesic oracle draws the right circles, and _segment_dist
+    computes exactly what the oracle's segment distance computes."""
+
     def test_geodesic_through_origin_is_diameter(self):
         kind, _, _, _ = _geodesic(0j, complex(0.5, 0.5))
         assert kind == "diameter"
@@ -316,6 +360,27 @@ class TestGeodesics:
             oracle = min(res.fun, radial_dist(abs(a)), radial_dist(abs(b)))
             assert _segment_dist_to_origin(a, b) == pytest.approx(oracle, abs=1e-7)
 
+    def test_segment_dist_matches_parent_bit_for_bit(self):
+        # arcs, diameters and near-diameters, pairs near the boundary and
+        # pairs on either side of the 1e-15 and 1e-9 length thresholds
+        rng = np.random.default_rng(34)
+        pairs = []
+        for _ in range(400):
+            a, b = _rand_disk(rng, 0.999), _rand_disk(rng, 0.999)
+            pairs.append((a, b))
+            along = rng.uniform(-0.999, 0.999) * a / abs(a)
+            pairs.append((a, along * complex(1.0, rng.choice([0.0, 1e-14, 1e-12]))))
+            pairs.append((a, a + cmath.rect(10.0 ** rng.uniform(-16.0, -5.0), rng.uniform(0.0, 2.0 * math.pi))))
+        for a, b in pairs:
+            end = min(radial_dist(abs(a)), radial_dist(abs(b)))
+            try:
+                want = _parent_segment_dist(a, b, end)
+            except DegenerateDirectionError as exc:
+                with pytest.raises(DegenerateDirectionError, match=str(exc)):
+                    _segment_dist(a, b, end)
+            else:
+                assert _segment_dist(a, b, end).hex() == want.hex()
+
 
 class TestPublicPrimitivesValidate:
     """The public primitives check every input point; the unchecked cores
@@ -355,7 +420,7 @@ class TestPublicPrimitivesValidate:
     def test_coincident_points_raise(self):
         with pytest.raises(DegenerateDirectionError):
             _reflect_through(0.3 + 0j, 0.3 + 1e-12 + 0j, 0.1j)
-        with pytest.raises(DegenerateDirectionError):
+        with pytest.raises(DegenerateDirectionError, match="two distinct points"):
             _segment_dist_to_origin(0.3 + 0j, 0.3 + 1e-10 + 0j)
         assert _segment_dist_to_origin(0.3 + 0j, 0.3 + 0j) == pytest.approx(radial_dist(0.3), abs=0.0)
 
@@ -364,7 +429,5 @@ class TestPublicPrimitivesValidate:
         # radius for the orthogonal circle through them
         a = 0.8700950668540577 + 0.49288190739489807j
         b = 0.8700952245447933 + 0.4928808568946632j
-        with pytest.raises(DegenerateDirectionError):
-            _geodesic(a, b)
-        with pytest.raises(DegenerateDirectionError):
+        with pytest.raises(DegenerateDirectionError, match="too close to resolve"):
             _segment_dist_to_origin(a, b)
