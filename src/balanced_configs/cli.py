@@ -95,15 +95,25 @@ def _parse_basis(raw):
     return [_parse_pair_list(r, "--basis", 2) for r in rows]
 
 
+# characters per write: a text stream encodes each write whole, so slices
+# keep the encoded copy at one slice rather than a second copy of the text
+_WRITE_SLICE = 1 << 20
+
+
 def _write_text(path, text):
     if path in (None, "-"):
-        sys.stdout.write(text)
+        _write_slices(sys.stdout, text)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_slices(fh, text)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}", field="--output")
+
+
+def _write_slices(fh, text):
+    for s in range(0, len(text), _WRITE_SLICE):
+        fh.write(text[s : s + _WRITE_SLICE])
 
 
 def _read_config(path):

@@ -429,17 +429,22 @@ def _neighbors(c, bases, reach, dedup_tol):
     if isinstance(c, PeriodicConfig):
         inv, span, steps = _translate_steps(c.basis, reach)
         motif = c.cartesian_motif()
+        # blocks of bases, or, when one base's translates exceed a chunk,
+        # single bases with blocks of steps
         chunk = max(1, _LATTICE_CHUNK // (len(motif) * len(steps)))
+        step_chunk = len(steps) if chunk > 1 else max(1, _LATTICE_CHUNK // len(motif))
         found = [(np.zeros(0, dtype=np.intp), np.zeros((0, 2)), np.zeros(0))]
         for s in range(0, len(bases), chunk):
             block = bases[s : s + chunk]
             delta = motif[None, :, :] - block[:, None, :]
-            lo = np.ceil(-delta @ inv - span)
-            vec = delta[:, :, None, :] + (lo[:, :, None, :] + steps) @ c.basis
-            d = np.linalg.norm(vec, axis=-1)
-            hit = np.nonzero((d <= reach) & (d > dedup_tol))
-            found.append((s + hit[0], block[hit[0]] + vec[hit], d[hit]))
+            lo = np.ceil(-delta @ inv - span)[:, :, None, :]
+            for t in range(0, len(steps), step_chunk):
+                vec = delta[:, :, None, :] + (lo + steps[t : t + step_chunk]) @ c.basis
+                d = np.linalg.norm(vec, axis=-1)
+                hit = np.nonzero((d <= reach) & (d > dedup_tol))
+                found.append((s + hit[0], block[hit[0]] + vec[hit], d[hit]))
         owner, pts, d = (np.concatenate(parts) for parts in zip(*found))
+        del found
         order = np.lexsort((pts[:, 1], pts[:, 0], d, owner))
         return owner[order], pts[order], d[order]
     space = c.space

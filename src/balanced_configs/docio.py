@@ -15,8 +15,8 @@ containers without copying.
 Coordinates are serialized with Python's shortest round-trip float text, so
 ``parse_config(serialize(doc))`` reproduces ``doc`` exactly.  ``serialize``
 formats the coordinate arrays itself, with the bytes ``json.dumps(indent=2)``
-would give, and joins the text once; non-finite coordinates are refused
-rather than written as ``NaN`` or ``Infinity``.
+would give, a block of rows at a time, and joins the text once; non-finite
+coordinates are refused rather than written as ``NaN`` or ``Infinity``.
 """
 from __future__ import annotations
 
@@ -44,6 +44,10 @@ _RUNTIME_SPACE = {"euclidean2": "plane", "sphere2": "sphere", "hyperbolic2": "di
 _DOC_SPACE = {v: k for k, v in _RUNTIME_SPACE.items()}
 
 _TOP_LEVEL_FIELDS = {"space", "kind", "basis", "motif", "points", "patch_radius", "metadata"}
+
+# coordinate rows per %-format in serialize, which bounds the template and
+# the float objects alive at once to one block's worth
+_ROWS_PER_FORMAT = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,10 +267,14 @@ def _put_coords(pieces, name, coords):
     if not len(coords):
         pieces.append("[]")
         return
-    # one %-format over every coordinate: %r of a float is float.__repr__
+    # one %-format per block of rows, each followed by the comma that the
+    # closing bracket replaces after the last; %r of a float is float.__repr__
     row = "\n    [" + ",".join(["\n      %r"] * coords.shape[1]) + "\n    ]"
-    template = (row + ",") * (len(coords) - 1) + row
-    pieces += ["[", template % tuple(coords.ravel().tolist()), "\n  ]"]
+    pieces.append("[")
+    for s in range(0, len(coords), _ROWS_PER_FORMAT):
+        block = coords[s : s + _ROWS_PER_FORMAT]
+        pieces += [",".join([row] * len(block)) % tuple(block.ravel().tolist()), ","]
+    pieces[-1] = "\n  ]"
 
 
 def serialize(doc):

@@ -13,6 +13,7 @@ edge's midpoint) and the order in which it pushes a tile's edges.  The core
 keeps its edges in flat per-edge lists and deduplicates vertices in a
 spatial-hash _PointStore as they are made; it checks midpoints in bulk with
 numpy and replays them through a _PointStore only when that check fails.
+It returns numpy arrays, so a cached build holds no per-point objects.
 """
 from __future__ import annotations
 
@@ -398,7 +399,7 @@ def _certified(mids):
     threshold.  A pair within 2 * _DEDUP is within it along x too, so with
     the points sorted by x each is compared with the next, the one after,
     and so on, until the gap along x exceeds the margin."""
-    z = np.array(mids, dtype=complex)
+    z = np.asarray(mids, dtype=complex)
     if not (np.abs(z) < 1.0).all():  # NaN fails too
         return False
     z = z[np.argsort(z.real)]
@@ -415,23 +416,40 @@ def _certified(mids):
 
 
 def _intern_midpoints(mids, classes):
-    """The midpoints, and their classes, that interning mids one by one in a
-    _PointStore keeps.  When _certified vouches for all of them they are the
-    input; otherwise the store replays them, raising InvalidPointError for a
-    point off the disk and RuntimeError for two midpoints of different
-    classes within _DEDUP of each other, and dropping a repeat of the same
-    class."""
-    if _certified(mids):
-        return mids, classes
+    """The midpoints, as a complex array, and their classes, as a list, that
+    interning mids one by one in a _PointStore keeps.  When _certified
+    vouches for all of them they are the input; otherwise the store replays
+    them, raising InvalidPointError for a point off the disk and
+    RuntimeError for two midpoints of different classes within _DEDUP of
+    each other, and dropping a repeat of the same class."""
+    z = np.array(mids, dtype=complex)
+    if _certified(z):
+        return z, classes
     store = _PointStore()
     kept = []
-    for z, k in zip(mids, classes):
-        i, created = store.intern(z)
+    for w, k in zip(mids, classes):
+        i, created = store.intern(w)
         if created:
             kept.append(k)
         elif kept[i] != k:
             raise RuntimeError("edge-midpoint class collision in hyperbolic tiling")
-    return store.pos, kept
+    return np.array(store.pos, dtype=complex), kept
+
+
+def _tile_key(tile):
+    """An integer that identifies a tile by its set of vertex indices, as
+    frozenset(tile) does: the sorted triple a <= b <= c in 32-bit fields,
+    with a repeated vertex always written as (a, c, c)."""
+    a, b, c = tile
+    if a > b:
+        a, b = b, a
+    if b > c:
+        b, c = c, b
+        if a > b:
+            a, b = b, a
+    if a == b:
+        b = c
+    return (a << 64) | (b << 32) | c
 
 
 def _grow(angles, depth, turn, swap, order):
@@ -448,13 +466,16 @@ def _grow(angles, depth, turn, swap, order):
     roles of u and v.  order(tile, edge) lists the classes of a tile's edges
     in push order (edge is the crossed edge, None for the seed), which breaks
     distance ties.  Returns (vertices, roles, midpoints, midpoint classes,
-    patch_radius), roles[i] being vertex i's role in the tile that made it.
+    patch_radius), roles[i] being vertex i's role in the tile that made it:
+    the points as complex arrays and the roles and classes as int8 arrays,
+    all read-only, so that no per-point Python object outlives the build.
 
     Edges live in a table indexed by the order they were pushed, which also
-    breaks heap ties.  Midpoints are checked in bulk by _intern_midpoints
-    whenever the edge count has doubled since the last check, before any
-    other growth error is raised, and at the end, so a midpoint fault stops
-    the growth within twice the work that reached it.
+    breaks heap ties; an edge is found by the integer key (u << 32) | v of
+    its ends u < v, and a tile by _tile_key.  Midpoints are checked in bulk
+    by _intern_midpoints whenever the edge count has doubled since the last
+    check, before any other growth error is raised, and at the end, so a
+    midpoint fault stops the growth within twice the work that reached it.
     """
     sides = _triangle_sides(*angles)
     stop = depth * _DEPTH_STEP_FRACTION * max(sides)
@@ -466,8 +487,8 @@ def _grow(angles, depth, turn, swap, order):
     rad = [radial_dist(abs(z)) for z in pos]  # distance of each vertex from the origin
     roles = [0, 1, 2]
 
-    tiles = {frozenset((0, 1, 2)): (0, 1, 2)}
-    # the edge table: edge index by ends (u, v), u < v; then per edge its
+    tiles = {_tile_key((0, 1, 2)): (0, 1, 2)}
+    # the edge table: edge index by the key of its ends; then per edge its
     # ends, first tile, class, midpoint, and whether it is still open
     edge_at = {}
     eu, ev, etile, eclass, emid = [], [], [], [], []
@@ -478,7 +499,8 @@ def _grow(angles, depth, turn, swap, order):
         for k in classes:
             i, j = _ENDS[k]
             a, b = tile[i], tile[j]
-            ek = (a, b) if a < b else (b, a)
+            u, v = (a, b) if a < b else (b, a)
+            ek = (u << 32) | v
             e = edge_at.get(ek)
             if e is not None:
                 if eclass[e] != k:
@@ -488,7 +510,6 @@ def _grow(angles, depth, turn, swap, order):
             e = len(emid)
             edge_at[ek] = e
             emid.append(_midpoint(pos[a], pos[b]))
-            u, v = ek
             eu.append(u)
             ev.append(v)
             etile.append(tile)
@@ -523,7 +544,7 @@ def _grow(angles, depth, turn, swap, order):
                 i, j = _ENDS[k]
                 new_tile[i], new_tile[j] = tile[j], tile[i]
             new_tile = tuple(new_tile)
-            key = frozenset(new_tile)
+            key = _tile_key(new_tile)
             prev = tiles.get(key)
             if prev is not None:
                 if prev != new_tile:
@@ -542,8 +563,12 @@ def _grow(angles, depth, turn, swap, order):
                 f"depth {depth} reaches tiles too close to the disk boundary to resolve: {exc}"
             ) from exc
         raise
+    del tiles, edge_at, etile, heap  # free the tables before the arrays are made
     mids, mid_classes = _intern_midpoints(emid, eclass)
-    return pos, roles, mids, mid_classes, patch_radius
+    out = np.array(pos, dtype=complex), np.array(roles, np.int8), mids, np.array(mid_classes, np.int8)
+    for a in out:
+        a.flags.writeable = False
+    return (*out, patch_radius)
 
 
 def _reflect_move(a, b, mid, z):
@@ -579,10 +604,9 @@ def _build_rotation_tiling(alpha, beta, gamma, m, depth):
     return _grow((alpha, beta, gamma), depth, _half_turn_move, True, _rotation_order)
 
 
-def _disk_rows(zs, selected):
-    """(x, y) rows of the selected complex points zs with |z| < 1 - 1e-15,
-    in order, and the mask that picked them."""
-    z = np.array(zs, dtype=complex)
+def _disk_rows(z, selected):
+    """(x, y) rows of the selected points of the complex array z with
+    |z| < 1 - 1e-15, in order, and the mask that picked them."""
     keep = selected & (np.abs(z) < 1.0 - 1e-15)
     return np.column_stack([z.real[keep], z.imag[keep]]), keep
 
@@ -607,7 +631,6 @@ def gen_hyp_triangle_group(params, flags):
             f"got ({p}, {q}, {r})"
         )
     verts, roles, _, _, patch_radius = _build_triangle_group(p, q, r, params.depth)
-    roles = np.array(roles)
     wanted = np.array([flags.p_centers, flags.q_centers, flags.r_centers])
     pts, keep = _disk_rows(verts, wanted[roles])
     labels = tuple(("p_center", "q_center", "r_center")[k] for k in roles[keep].tolist())
@@ -633,7 +656,6 @@ def gen_hyp_rotation_tiling(params, flags):
         pts, _ = _disk_rows(verts, True)
         pieces.append(pts)
         labels += ["vertex"] * len(pts)
-    mid_classes = np.array(mid_classes)
     # an edge's class is the role of the vertex opposite it: ab is class 2
     for k, wanted in ((2, flags.mid_ab), (1, flags.mid_ac), (0, flags.mid_bc)):
         if wanted:

@@ -27,6 +27,9 @@ _SHAPES = (
      lambda x, y, r: (x, y - r, x + r, y + r, x - r, y + r)),
 )
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+# markers per %-format, which bounds the template and the coordinate objects
+# alive at once to one block's worth
+_MARKERS_PER_FORMAT = 4096
 
 
 @dataclass(frozen=True)
@@ -117,29 +120,28 @@ def render_svg(config, style=None):
     scale = style.size / max(span_x, span_y)
     width, height = span_x * scale, span_y * scale
 
-    body = []
-    if style.show_boundary and config.space == "disk":
-        cx, cy = (0.0 - x0) * scale, (y1 - 0.0) * scale
-        body.append(
-            f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="{scale:.3f}" '
-            'fill="none" stroke="#888888" stroke-width="1"/>'
-        )
-    # after the sort each class is one run of markers: one %-format each
-    sx, sy, r = (x - x0) * scale, (y1 - y) * scale, style.marker_px
-    bounds = np.searchsorted(code, np.arange(len(classes) + 1)).tolist()
-    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        text, columns = _SHAPES[i % len(_SHAPES)]
-        marker = text.format(r=r, d=2 * r, c=_COLORS[i % len(_COLORS)])
-        coords = np.column_stack(columns(sx[a:b], sy[a:b], r)).ravel().tolist()
-        body.append("\n".join([marker] * (b - a)) % tuple(coords))
-
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.3f} {height:.3f}">',
         '<rect width="100%" height="100%" fill="#ffffff"/>',
-        *body,
-        "</svg>",
     ]
-    return "\n".join(lines) + "\n"
+    if style.show_boundary and config.space == "disk":
+        cx, cy = (0.0 - x0) * scale, (y1 - 0.0) * scale
+        lines.append(
+            f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="{scale:.3f}" '
+            'fill="none" stroke="#888888" stroke-width="1"/>'
+        )
+    # after the sort each class is one run of markers: one %-format per block
+    sx, sy, r = (x - x0) * scale, (y1 - y) * scale, style.marker_px
+    bounds = np.searchsorted(code, np.arange(len(classes) + 1)).tolist()
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        text, columns = _SHAPES[i % len(_SHAPES)]
+        marker = text.format(r=r, d=2 * r, c=_COLORS[i % len(_COLORS)])
+        for s in range(a, b, _MARKERS_PER_FORMAT):
+            t = min(s + _MARKERS_PER_FORMAT, b)
+            coords = np.column_stack(columns(sx[s:t], sy[s:t], r)).ravel().tolist()
+            lines.append("\n".join([marker] * (t - s)) % tuple(coords))
+    lines += ["</svg>", ""]  # the empty last line ends the text with a newline
+    return "\n".join(lines)

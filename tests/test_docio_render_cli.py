@@ -6,11 +6,12 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from balanced_configs import cli
+from balanced_configs import cli, docio, render
 from balanced_configs.cli import build_parser, main
 from balanced_configs.configs import FinitePointSet, PeriodicConfig
 from balanced_configs.docio import (
@@ -496,6 +497,197 @@ def _scalar_markers(points, labels, window, size, r=4.0):
             pts = f"{x:.3f},{y - r:.3f} {x + r:.3f},{y + r:.3f} {x - r:.3f},{y + r:.3f}"
             lines.append(f'<polygon points="{pts}" fill="{c}"/>')
     return lines
+
+
+def _oneshot_put_coords(pieces, name, coords):
+    """docio._put_coords as it was before it formatted a block of rows at a
+    time, kept as the oracle: one %-format over every coordinate."""
+    finite = np.isfinite(coords).all(axis=-1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        where = f"{name}[{i}]"
+        raise ValidationError(f"{where} must be finite, got {coords[i].tolist()!r}", field=where)
+    pieces.append(f',\n  "{name}": ')
+    if not len(coords):
+        pieces.append("[]")
+        return
+    row = "\n    [" + ",".join(["\n      %r"] * coords.shape[1]) + "\n    ]"
+    template = (row + ",") * (len(coords) - 1) + row
+    pieces += ["[", template % tuple(coords.ravel().tolist()), "\n  ]"]
+
+
+def _oneshot_render_svg(config, style=None):
+    """render.render_svg as it was before it formatted a block of markers at
+    a time, kept as the oracle: one %-format per label class."""
+    style = style or RenderStyle()
+    window = style.resolved_window(config)
+    x, y, code, classes = render._gather(config, window)
+    (x0, x1), (y0, y1) = window
+    span_x, span_y = x1 - x0, y1 - y0
+    scale = style.size / max(span_x, span_y)
+    width, height = span_x * scale, span_y * scale
+
+    body = []
+    if style.show_boundary and config.space == "disk":
+        cx, cy = (0.0 - x0) * scale, (y1 - 0.0) * scale
+        body.append(
+            f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="{scale:.3f}" '
+            'fill="none" stroke="#888888" stroke-width="1"/>'
+        )
+    sx, sy, r = (x - x0) * scale, (y1 - y) * scale, style.marker_px
+    bounds = np.searchsorted(code, np.arange(len(classes) + 1)).tolist()
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        text, columns = render._SHAPES[i % len(render._SHAPES)]
+        marker = text.format(r=r, d=2 * r, c=render._COLORS[i % len(render._COLORS)])
+        coords = np.column_stack(columns(sx[a:b], sy[a:b], r)).ravel().tolist()
+        body.append("\n".join([marker] * (b - a)) % tuple(coords))
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width:.0f}" height="{height:.0f}" '
+        f'viewBox="0 0 {width:.3f} {height:.3f}">',
+        '<rect width="100%" height="100%" fill="#ffffff"/>',
+        *body,
+        "</svg>",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _block_edges(block):
+    """Row counts on each side of one and two block boundaries."""
+    return (0, 1, block - 1, block, block + 1, 2 * block + 1)
+
+
+class TestBlockFormatting:
+    """serialize and render_svg format a block of rows at a time; on each
+    side of a block boundary their bytes are those of the one-shot
+    formatting they replaced."""
+
+    @pytest.mark.parametrize("n", _block_edges(docio._ROWS_PER_FORMAT))
+    @pytest.mark.parametrize("space, kind, dim", [("euclidean2", "finite", 2), ("sphere2", "finite", 3), ("hyperbolic2", "patch", 2)])
+    def test_documents(self, monkeypatch, n, space, kind, dim):
+        rng = np.random.default_rng(n)
+        # magnitudes from 1e-30 to 1e30, so the float text varies in length
+        coords = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-30, 31, (n, dim))
+        doc = ConfigDocument(
+            space, kind, coords, patch_radius=1.5 if kind == "patch" else None,
+            metadata={"labels": ",".join(["a"] * n)} if n else {},
+        )
+        text = serialize(doc)
+        monkeypatch.setattr(docio, "_put_coords", _oneshot_put_coords)
+        assert text == serialize(doc)
+
+    def test_periodic_document(self, monkeypatch):
+        # two coordinate fields, basis and motif
+        doc = document_from(gen_hexagonal(1.0, SubsetFlags(True, True, True)).supercell(3, 2))
+        text = serialize(doc)
+        monkeypatch.setattr(docio, "_put_coords", _oneshot_put_coords)
+        assert text == serialize(doc)
+
+    @pytest.mark.parametrize("n", _block_edges(render._MARKERS_PER_FORMAT))
+    @pytest.mark.parametrize("layout", ["one class", "two classes", "five classes"])
+    def test_svgs(self, n, layout):
+        rng = np.random.default_rng(n)
+        pts = rng.uniform(-0.7, 0.7, (max(n, 1), 2))
+        if layout == "one class":
+            labels = ("vertex",) * len(pts)
+        elif layout == "two classes":
+            # "a" takes one row more than a block when there are enough rows
+            labels = ["a" if i <= render._MARKERS_PER_FORMAT else "b" for i in range(len(pts))]
+            labels = tuple(rng.permutation(labels).tolist())
+        else:
+            labels = tuple("vwxyz"[i] for i in rng.integers(0, 5, len(pts)))
+        c = FinitePointSet("disk", pts, labels=labels)
+        style = RenderStyle(window=((2.0, 3.0), (2.0, 3.0))) if n == 0 else RenderStyle()
+        if n == 0:  # no marker at all: both refuse
+            with pytest.raises(RenderError, match="no points"):
+                _oneshot_render_svg(c, style)
+            with pytest.raises(RenderError, match="no points"):
+                render_svg(c, style)
+            return
+        assert render_svg(c, style) == _oneshot_render_svg(c, style)
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryShape:
+    """Peak traced memory of writing the depth-6 (30, 40, 50) tiling with
+    every set, 67,882 points, as a multiple of the text written.  Block
+    formatting gives 2.10 (serialize) and 2.54 (render_svg); the one-shot
+    formatting gave 2.42 and 4.27."""
+
+    @pytest.fixture(scope="class")
+    def tiling(self):
+        params = RotationTilingParams(*(math.radians(a) for a in (30, 40, 50)), 3, 6)
+        return gen_hyp_rotation_tiling(params, RotationTilingFlags(True, True, True, True))
+
+    def test_serialize(self, tiling):
+        doc = document_from(tiling)
+        text, peak = _traced_peak(lambda: serialize(doc))
+        assert tiling.n == 67882
+        assert peak <= 2.25 * len(text)
+
+    def test_render_svg(self, tiling):
+        svg, peak = _traced_peak(lambda: render_svg(tiling))
+        assert peak <= 2.7 * len(svg)
+
+
+def _results_of(monkeypatch, module, name):
+    """The results of module.name, recorded by rebinding every loaded
+    package module's reference to it, as perfbench/tracer.py does."""
+    original = getattr(module, name)
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "balanced_configs" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, recording)
+    return results
+
+
+class TestTracedCli:
+    """The traced benchmark (perfbench/run.py --trace 1) times and sizes the
+    generate and render outputs only through docio.serialize and
+    render.render_svg, counting len(result); without those calls a traced
+    run raises "no spans for per-layer metrics"."""
+
+    def test_generate_calls_serialize(self, monkeypatch, capsys):
+        results = _results_of(monkeypatch, docio, "serialize")
+        code, out, _ = _run(capsys, ["generate", "--family", "rotation-tiling", "--angles", "30,40,50", "--depth", "2"])
+        assert code == 0
+        assert len(results) == 1 and type(results[0]) is str and results[0] == out
+
+    def test_render_calls_render_svg(self, monkeypatch, capsys, tmp_path):
+        doc = tmp_path / "t.json"
+        assert main(["generate", "--family", "rotation-tiling", "--depth", "2", "-o", str(doc)]) == 0
+        results = _results_of(monkeypatch, render, "render_svg")
+        code, out, _ = _run(capsys, ["render", str(doc)])
+        assert code == 0
+        assert len(results) == 1 and type(results[0]) is str and results[0] == out
+
+
+class TestWriteText:
+    @pytest.mark.parametrize("count", [0, 1, cli._WRITE_SLICE - 1, cli._WRITE_SLICE, 2 * cli._WRITE_SLICE + 1])
+    def test_slices_keep_the_text(self, capsys, tmp_path, count):
+        # multi-byte characters across every slice boundary
+        text = ("a\u00e9\u20ac\U0001f600" * count)[:count]
+        path = tmp_path / "out.txt"
+        cli._write_text(str(path), text)
+        assert path.read_bytes() == text.encode("utf-8")
+        cli._write_text("-", text)
+        assert capsys.readouterr().out == text
 
 
 class TestMarkerOrderOracle:
