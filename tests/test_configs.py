@@ -459,7 +459,7 @@ class TestChunkedLatticeKernel:
         assert _report_columns(c, radius) == want
 
     def test_peak_memory_at_radius_250(self):
-        # 112,896 translates of the 2-point motif per base and 302,000
+        # 112,896 translates of the 2-point motif per base and 302,214
         # neighbours: 23.7 MB traced, against 40.5 MB with a base's
         # translates in one block
         tracemalloc.start()
