@@ -36,7 +36,7 @@ from .configs import (
 )
 from .errors import AmbiguousClassError
 from .geometry import DEFAULT_TOL
-from .verify import _base_points_for
+from .verify import _base_points_for, _min_neighbor_counts
 
 TRIANGULAR_LATTICE = "TriangularLattice"
 LATTICE = "Lattice"
@@ -170,9 +170,8 @@ def neighbor_case_signature(c, tol=DEFAULT_TOL):
     face centers) contribute 0."""
     if not isinstance(c, PeriodicConfig):
         raise ValueError("neighbor signatures are defined for periodic configurations")
-    reach = min_distance(c, tol) + tol.class_tol
-    owner = _neighbors(c, c.cartesian_motif(), reach, tol.dedup_tol)[0]
-    return tuple(sorted(np.bincount(owner, minlength=c.k).tolist(), reverse=True))
+    counts = _min_neighbor_counts(c, c.cartesian_motif(), min_distance(c, tol), tol)
+    return tuple(sorted(counts.tolist(), reverse=True))
 
 
 # ---------------------------------------------------------------------------

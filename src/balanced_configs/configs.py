@@ -41,7 +41,7 @@ import numpy as np
 
 from . import hyperbolic
 from .errors import AmbiguousClassError, InvalidPointError, NoPairsError, ParameterDomainError
-from .geometry import DEFAULT_TOL, Tolerance, as_vec
+from .geometry import DEFAULT_TOL, as_vec, in_open_disk, independent_basis, measurable_basis, on_unit_sphere
 
 _SPACES = ("plane", "sphere", "disk")
 
@@ -61,10 +61,9 @@ class PeriodicConfig:
 
     def __post_init__(self):
         self.basis = np.asarray(self.basis, dtype=float)
-        if self.basis.shape != (2, 2) or not np.all(np.isfinite(self.basis)):
-            raise InvalidPointError("basis must be a finite 2x2 matrix with rows v1, v2")
-        scale2 = max(float(np.sum(self.basis[0] ** 2)), float(np.sum(self.basis[1] ** 2)))
-        if scale2 == 0.0 or abs(np.linalg.det(self.basis)) <= 1e-12 * scale2:
+        if self.basis.shape != (2, 2) or not measurable_basis(self.basis):
+            raise InvalidPointError("basis must be a 2x2 matrix, its rows of lengths between 1e-100 and 1e100")
+        if not independent_basis(self.basis):
             raise InvalidPointError("basis vectors must be linearly independent")
         motif = np.asarray(self.motif, dtype=float)
         if motif.ndim != 2 or motif.shape[1] != 2 or motif.shape[0] == 0:
@@ -78,10 +77,7 @@ class PeriodicConfig:
             self.labels = tuple(self.labels)
             if len(self.labels) != len(self.motif):
                 raise InvalidPointError("labels must align with the motif")
-        self._check_motif_distinct()
-
-    def _check_motif_distinct(self, tol=DEFAULT_TOL):
-        if np.any(_motif_gaps(self) <= tol.dedup_tol):
+        if _motif_gap(self) <= DEFAULT_TOL.dedup_tol:
             raise InvalidPointError("motif points must be pairwise distinct modulo the lattice")
 
     @property
@@ -139,16 +135,11 @@ class FinitePointSet:
             raise InvalidPointError(f"points must be an (n, {dim}) array for space {self.space!r}")
         if not np.all(np.isfinite(pts)):
             raise InvalidPointError("point coordinates must be finite")
-        if self.space == "sphere":
-            norms = np.linalg.norm(pts, axis=1)
-            bad = np.nonzero(np.abs(norms - 1.0) > 1e-9)[0]
-            if len(bad):
-                raise InvalidPointError(f"sphere points must have unit norm (first offender: index {bad[0]})")
-        if self.space == "disk":
-            r = np.linalg.norm(pts, axis=1)
-            bad = np.nonzero(r >= 1.0)[0]
-            if len(bad):
-                raise InvalidPointError(f"disk points must satisfy |z| < 1 (first offender: index {bad[0]})")
+        if self.space != "plane":
+            ok = on_unit_sphere(pts) if self.space == "sphere" else in_open_disk(_as_complex(pts))
+            if not ok.all():
+                rule = "have unit norm" if self.space == "sphere" else "satisfy |z| < 1"
+                raise InvalidPointError(f"{self.space} points must {rule} (first offender: index {ok.argmin()})")
         self.points = pts
         if self.labels is not None:
             self.labels = tuple(self.labels)
@@ -172,10 +163,9 @@ class PatchConfig:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
-        if not np.all(np.isfinite(pts)):
-            raise InvalidPointError("point coordinates must be finite")
-        if len(pts) and np.any(np.linalg.norm(pts, axis=1) >= 1.0):
-            raise InvalidPointError("patch points must lie in the open unit disk")
+        ok = in_open_disk(_as_complex(pts))
+        if not ok.all():
+            raise InvalidPointError(f"patch points must lie in the open unit disk (first offender: index {ok.argmin()})")
         if not (math.isfinite(self.patch_radius) and self.patch_radius >= 0.0):
             raise InvalidPointError("patch_radius must be a nonnegative finite number")
         self.points = pts
@@ -213,13 +203,22 @@ def _shift_grid():
     return np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
 
 
-def _motif_gaps(c):
-    """For each motif pair i < j, the distance from point i to the nearest of
-    the 3x3 cell translates of point j."""
-    cart = c.cartesian_motif()
-    k = np.arange(len(cart))
-    i, j = np.nonzero(k[:, None] < k)
-    return np.linalg.norm((cart[j] - cart[i])[:, None, :] + _shift_grid() @ c.basis, axis=2).min(axis=1)
+def _motif_gap(c, above=-1.0):
+    """The smallest gap above `above`, or inf, where the gap of motif points
+    i < j is the distance from i to the nearest 3x3 cell translate of j.  The
+    pairs are scanned in blocks of at most _LATTICE_CHUNK (pair, translate)
+    elements, so memory does not grow with the square of the motif."""
+    cart, shifts = c.cartesian_motif(), _shift_grid() @ c.basis
+    k = len(cart)
+    first = np.arange(k) * (2 * k - np.arange(k) - 1) // 2  # flat index of the pair (i, i + 1)
+    pairs, block, best = k * (k - 1) // 2, max(1, _LATTICE_CHUNK // len(shifts)), np.inf
+    for s in range(0, pairs, block):
+        pair = np.arange(s, min(s + block, pairs))
+        i = np.searchsorted(first, pair, side="right") - 1
+        delta = cart[pair - first[i] + i + 1] - cart[i]
+        gaps = np.linalg.norm(delta[:, None, :] + shifts, axis=2).min(axis=1)
+        best = min(best, float(gaps[gaps > above].min(initial=np.inf)))
+    return best
 
 
 def _lagrange_reduce(basis):
@@ -537,9 +536,7 @@ def min_distance(c, tol=DEFAULT_TOL):
         key = (tol.class_tol, tol.dedup_tol)
         if key not in c._min_d:
             red = canonical_basis(c)
-            gaps = _motif_gaps(red)
-            gaps = gaps[gaps > 2.0 * tol.dedup_tol]
-            bound = min(float(np.linalg.norm(red.basis[0])), float(gaps.min(initial=np.inf)))
+            bound = min(float(np.linalg.norm(red.basis[0])), _motif_gap(red, 2.0 * tol.dedup_tol))
             reach = bound * (1.0 + 1e-9) + tol.class_tol
             c._min_d[key] = float(_neighbors(red, red.cartesian_motif(), reach, tol.dedup_tol)[2].min())
         return c._min_d[key]

@@ -28,8 +28,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .configs import FinitePointSet, PatchConfig, PeriodicConfig
+from .configs import FinitePointSet, PatchConfig, PeriodicConfig, _as_complex
 from .errors import InvalidPointError, ValidationError
+from .geometry import in_open_disk, independent_basis, measurable_basis, on_unit_sphere
 
 SPACES = ("euclidean2", "sphere2", "hyperbolic2")
 KINDS = ("finite", "periodic", "patch")
@@ -44,6 +45,8 @@ _RUNTIME_SPACE = {"euclidean2": "plane", "sphere2": "sphere", "hyperbolic2": "di
 _DOC_SPACE = {v: k for k, v in _RUNTIME_SPACE.items()}
 
 _TOP_LEVEL_FIELDS = {"space", "kind", "basis", "motif", "points", "patch_radius", "metadata"}
+# what the points of each curved space must do, by the predicates of geometry
+_SPACE_RULE = {"sphere2": "be a unit vector", "hyperbolic2": "lie strictly inside the unit disk"}
 
 # coordinate rows per %-format in serialize, which bounds the template and
 # the float objects alive at once to one block's worth
@@ -120,39 +123,6 @@ def _parse_coords(raw, dim, fieldname):
     return np.array(points, dtype=float)
 
 
-def _validate_space_points(space, coords, fieldname):
-    """Refuse points off the unit sphere or outside the open unit disk.
-
-    numpy checks every point first: the sphere norms with the arithmetic of
-    the loop below, the disk test with a margin that only admits points
-    math.hypot also puts inside.  Only when a point fails that check does
-    the per-entry loop run, to decide it and name the first offender.
-    """
-    if space == "sphere2":
-        x, y, z = coords.T
-        with np.errstate(over="ignore"):  # a square past the float range is inf, and fails
-            if np.all(np.abs(np.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-9):
-                return
-        for i, p in enumerate(coords.tolist()):
-            norm = math.sqrt(sum(x * x for x in p))
-            if abs(norm - 1.0) > 1e-9:
-                raise ValidationError(
-                    f"{fieldname}[{i}] must be a unit vector (norm off by {abs(norm - 1.0):.3g})",
-                    field=f"{fieldname}[{i}]",
-                )
-    elif space == "hyperbolic2":
-        x, y = coords.T
-        with np.errstate(over="ignore"):
-            if np.all(x * x + y * y < 1.0 - 1e-12):
-                return
-        for i, p in enumerate(coords.tolist()):
-            if math.hypot(p[0], p[1]) >= 1.0:
-                raise ValidationError(
-                    f"{fieldname}[{i}] must lie strictly inside the unit disk",
-                    field=f"{fieldname}[{i}]",
-                )
-
-
 def parse_config(text):
     """Parse and validate a configuration document from JSON text (or an
     already-decoded dict)."""
@@ -207,10 +177,10 @@ def parse_config(text):
         basis = _parse_coords(raw_basis, 2, "basis")
         if len(basis) != 2:
             raise ValidationError("basis must have exactly 2 row vectors", field="basis")
-        (a, b), (c, d) = basis.tolist()
-        det = a * d - b * c
-        if abs(det) <= 1e-12:
-            raise ValidationError("basis rows must be linearly independent", field="basis")
+        if not measurable_basis(basis):
+            raise ValidationError("basis rows must have lengths between 1e-100 and 1e100", field="basis")
+        if not independent_basis(basis):
+            raise ValidationError("basis vectors must be linearly independent", field="basis")
         if "motif" not in raw:
             raise ValidationError("periodic documents require 'motif'", field="motif")
         points = _parse_coords(raw["motif"], 2, "motif")
@@ -223,7 +193,11 @@ def parse_config(text):
         if "points" not in raw:
             raise ValidationError(f"{kind} documents require 'points'", field="points")
         points = _parse_coords(raw["points"], _COORD_DIM[space], "points")
-        _validate_space_points(space, points, "points")
+        if space != "euclidean2":
+            ok = on_unit_sphere(points) if space == "sphere2" else in_open_disk(_as_complex(points))
+            if not ok.all():
+                where = f"points[{ok.argmin()}]"
+                raise ValidationError(f"{where} must {_SPACE_RULE[space]}", field=where)
         if kind == "patch":
             if "patch_radius" not in raw:
                 raise ValidationError("patch documents require 'patch_radius'", field="patch_radius")
@@ -299,9 +273,8 @@ def serialize(doc):
 def to_runtime(doc):
     """Build the runtime configuration object for a parsed document.
 
-    The container's own checks that parse_config does not make (basis rows
-    independent relative to their length, motif points distinct modulo the
-    lattice) raise ValidationError.
+    The container's one check that parse_config does not make, motif points
+    distinct modulo the lattice, raises ValidationError.
     """
     labels = doc.labels
     try:

@@ -26,14 +26,13 @@ from functools import lru_cache
 import numpy as np
 
 from .configs import FinitePointSet, PatchConfig, PeriodicConfig
-from .errors import DegenerateDirectionError, ParameterDomainError
-from .geometry import as_vec
+from .errors import DegenerateDirectionError, InvalidPointError, ParameterDomainError
+from .geometry import as_vec, in_open_disk
 from .hyperbolic import (
     _half_turn,
     _midpoint,
     _reflect_through,
     _segment_dist,
-    as_disk_point,
     euclid_radius,
     radial_dist,
 )
@@ -333,8 +332,9 @@ class _PointStore:
     """Interning store for disk points with spatial-hash deduplication.
 
     intern(z) returns (index, created): the index of the first stored point
-    within _DEDUP of z, or of z itself, which is validated as a disk point
-    (InvalidPointError) and appended.  Only z's own hash cell is searched
+    within _DEDUP of z, or of z itself, appended once a plain |z| < 1 admits
+    it (InvalidPointError otherwise; _disk_rows applies the open-disk rule to
+    every point a build emits).  Only z's own hash cell is searched
     unless z lies within _DEDUP of the cell's edge; the cell is far wider
     than _DEDUP, so the first match is the one a search of all nine
     surrounding cells finds.
@@ -347,14 +347,12 @@ class _PointStore:
         self.grid = {}
 
     def intern(self, z):
+        if not abs(z) < 1.0:  # NaN and infinite points fail too
+            raise InvalidPointError(f"disk point must satisfy |z| < 1, got z = {z!r}")
         x = z.real * _HASH_SCALE
         y = z.imag * _HASH_SCALE
-        try:
-            kx = round(x)
-            ky = round(y)
-        except (ValueError, OverflowError):  # NaN or infinite coordinates
-            as_disk_point(z)
-            raise
+        kx = round(x)
+        ky = round(y)
         pos = self.pos
         grid = self.grid
         if abs(x - kx) < _HASH_INNER and abs(y - ky) < _HASH_INNER:
@@ -368,7 +366,7 @@ class _PointStore:
                         if abs(pos[i] - z) <= _DEDUP:
                             return i, False
         idx = len(pos)
-        pos.append(as_disk_point(z))
+        pos.append(z)
         grid.setdefault((kx, ky), []).append(idx)
         return idx, True
 
@@ -400,7 +398,7 @@ def _certified(mids):
     the points sorted by x each is compared with the next, the one after,
     and so on, until the gap along x exceeds the margin."""
     z = np.asarray(mids, dtype=complex)
-    if not (np.abs(z) < 1.0).all():  # NaN fails too
+    if not in_open_disk(z).all():
         return False
     z = z[np.argsort(z.real)]
     x = z.real
@@ -605,9 +603,9 @@ def _build_rotation_tiling(alpha, beta, gamma, m, depth):
 
 
 def _disk_rows(z, selected):
-    """(x, y) rows of the selected points of the complex array z with
-    |z| < 1 - 1e-15, in order, and the mask that picked them."""
-    keep = selected & (np.abs(z) < 1.0 - 1e-15)
+    """(x, y) rows of the selected points of the complex array z that lie in
+    the open disk, in order, and the mask that picked them."""
+    keep = selected & in_open_disk(z)
     return np.column_stack([z.real[keep], z.imag[keep]]), keep
 
 

@@ -1,4 +1,5 @@
-"""Tolerance policy and point coercion shared by every geometry.
+"""Tolerance policy, point coercion, and the one predicate of each geometric
+check, which the parser, the containers and the builders share.
 
 The plane and chordal sphere distances live in the neighbour kernel of
 ``configs``, the sphere's tangent projection in ``verify.verify_sphere``,
@@ -45,3 +46,30 @@ def as_vec(p, dim):
     if not np.all(np.isfinite(arr)):
         raise InvalidPointError("coordinates must be finite")
     return arr
+
+
+def in_open_disk(z):
+    """Whether each complex z has np.abs(z) < 1, the |z| that hyperbolic._dist
+    divides by (math.hypot and Python's abs can round it one ulp lower)."""
+    return np.abs(z) < 1.0
+
+
+def on_unit_sphere(pts):
+    """Whether each row of pts has Euclidean norm within 1e-9 of 1."""
+    with np.errstate(over="ignore"):  # a square past the float range is inf, and fails
+        return np.abs(np.linalg.norm(pts, axis=-1) - 1.0) <= 1e-9
+
+
+def independent_basis(basis):
+    """Whether a finite 2x2 basis has |det| > 1e-12 max(|v1|^2, |v2|^2) once
+    scaled exactly, by the power of two that brings its largest entry into
+    [0.5, 1): the verdict does not change with scale, and nothing overflows."""
+    basis = np.asarray(basis, dtype=float)
+    (a, b), (c, d) = np.ldexp(basis, -np.frexp(np.abs(basis).max())[1]).tolist()
+    return abs(a * d - b * c) > 1e-12 * max(a * a + b * b, c * c + d * d)
+
+
+def measurable_basis(basis):
+    """Whether both rows of a 2x2 basis have lengths in [1e-100, 1e100], where
+    the kernels' squared distances neither overflow nor underflow."""
+    return all(1e-100 <= math.hypot(*row) <= 1e100 for row in np.asarray(basis, dtype=float).tolist())

@@ -5,14 +5,14 @@ circular arcs meeting the unit circle at right angles.  The model is
 conformal, so angles (and in particular unit tangent directions at a point
 translated to the origin) agree with their Euclidean counterparts.
 
-The public functions are as_disk_point, which coerces and checks one point,
-and hyp_dist, hyp_log_dir, radial_dist and euclid_radius.  Every other map is
-a private core (_translate, _untranslate, _dist, _log_dir, _midpoint,
-_half_turn, _reflect_through, _segment_dist) that takes complex numbers
-already known to lie in the open disk and does no checking of its own.
-Every formula lives in its core only.  The one tiling growth core,
-generators._grow, calls the cores directly; it validates each vertex when
-it is created and its midpoints in bulk.  _segment_dist, which it calls once
+The public functions are as_disk_point, which coerces one point and checks
+it by geometry.in_open_disk (np.abs(z) < 1, the |z| that _dist divides by),
+and hyp_dist, hyp_log_dir, radial_dist and euclid_radius.  Every other map
+is a private core (_translate, _untranslate, _dist, _log_dir, _midpoint,
+_half_turn, _reflect_through, _segment_dist), the only home of its formula,
+which takes points already known to lie in the open disk and checks none.
+The tiling growth core, generators._grow, calls the cores directly and
+checks its points itself.  _segment_dist, which it calls once
 per edge, holds the circle through two points and raises
 DegenerateDirectionError for two points so close near the boundary that
 rounding leaves no circle through them.  _dist, the one disk distance, is
@@ -27,21 +27,18 @@ import math
 import numpy as np
 
 from .errors import DegenerateDirectionError, InvalidPointError
+from .geometry import in_open_disk
 
 
 def as_disk_point(p):
     """Coerce a complex number or an (x, y) pair to a point of the open disk."""
-    if isinstance(p, complex):
-        z = p
-    elif isinstance(p, (int, float)):
+    if isinstance(p, (complex, int, float)):
         z = complex(p)
     else:
         x, y = p
         z = complex(float(x), float(y))
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InvalidPointError("disk point must be finite")
-    if abs(z) >= 1.0:
-        raise InvalidPointError(f"disk point must satisfy |z| < 1, got |z| = {abs(z)!r}")
+    if not in_open_disk(z):  # NaN and infinite points fail too
+        raise InvalidPointError(f"disk point must satisfy |z| < 1, got z = {z!r}")
     return z
 
 

@@ -264,14 +264,20 @@ def _base_points_for(c, reach, tol):
     return c.points
 
 
+def _min_neighbor_counts(c, bases, min_d, tol):
+    """How many neighbours each base has at the minimal distance min_d:
+    those within min_d + class_tol."""
+    owner = _neighbors(c, bases, min_d + tol.class_tol, tol.dedup_tol)[0]
+    return np.bincount(owner, minlength=len(bases))
+
+
 def max_neighbor_count(c, params=VerifyParams()):
     """Largest number of minimal-distance neighbors over the verified points."""
     tol = params.tol
     min_d = min_distance(c, tol)
     reach = min_d + tol.class_tol if c.space == "disk" else params.max_radius * min_d
     bases = _base_points_for(c, reach, tol)
-    owner = _neighbors(c, bases, min_d + tol.class_tol, tol.dedup_tol)[0]
-    return int(np.bincount(owner, minlength=1).max())
+    return int(_min_neighbor_counts(c, bases, min_d, tol).max(initial=0))
 
 
 def check_min_distance_property(c, window=None, tol=DEFAULT_TOL):

@@ -15,6 +15,7 @@ from balanced_configs.configs import (
     PeriodicConfig,
     _dedup_fracs,
     _hnf_rows,
+    _motif_gap,
     _neighbors,
     _period_denominator,
     _row_dots,
@@ -27,9 +28,16 @@ from balanced_configs.configs import (
     points_within,
     primitive_periods,
 )
-from balanced_configs.errors import AmbiguousClassError, NoPairsError, ParameterDomainError
+from balanced_configs.docio import parse_config
+from balanced_configs.errors import (
+    AmbiguousClassError,
+    InvalidPointError,
+    NoPairsError,
+    ParameterDomainError,
+    ValidationError,
+)
 from balanced_configs.generators import SubsetFlags, gen_hexagonal, gen_lattice, gen_triangular
-from balanced_configs.geometry import DEFAULT_TOL, Tolerance
+from balanced_configs.geometry import DEFAULT_TOL, Tolerance, independent_basis
 from balanced_configs.hyperbolic import hyp_dist
 from balanced_configs.verify import VerifyParams, verify_plane
 
@@ -469,6 +477,93 @@ class TestChunkedLatticeKernel:
         finally:
             tracemalloc.stop()
         assert peak < 26_000_000
+
+
+def _all_pairs_gap(c, above):
+    """The smallest motif gap above `above`, every pair at once."""
+    cart = c.cartesian_motif()
+    k = np.arange(len(cart))
+    i, j = np.nonzero(k[:, None] < k)
+    shifts = np.array([[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)], dtype=float) @ c.basis
+    gaps = np.linalg.norm((cart[j] - cart[i])[:, None, :] + shifts, axis=2).min(axis=1)
+    return float(gaps[gaps > above].min(initial=np.inf))
+
+
+class TestMotifGap:
+    """The motif distinctness check scans the motif pairs a block at a time:
+    its gaps are those of every pair at once, bit for bit, and its memory
+    does not grow with the square of the motif."""
+
+    @pytest.mark.parametrize("chunk", [1 << 13, 50, 9, 1])
+    def test_matches_all_pairs(self, monkeypatch, chunk):
+        monkeypatch.setattr(configs, "_LATTICE_CHUNK", chunk)
+        for c in _random_cells(4, 20) + _families_under_similarities(4):
+            for above in (-1.0, 2e-9, 0.1):
+                assert _motif_gap(c, above) == _all_pairs_gap(c, above)
+
+    def test_peak_memory_of_a_600_point_motif(self):
+        # 179,700 motif pairs: 76.8 MB traced with every pair at once
+        cell = gen_hexagonal(1.0, SubsetFlags(True, True, True))
+        tracemalloc.start()
+        try:
+            assert cell.supercell(10, 10).k == 600
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+
+# |z| < 1 by math.hypot, Python's abs and np.linalg.norm of a point set,
+# but 1 by np.abs, the modulus the disk distance divides by
+_RIM = ((-0.6739394322538365, 0.7387866008891718), (-0.7554144733847383, -0.6552472612692543))
+
+
+class TestSharedGeometricRules:
+    """The document parser, the containers and the disk primitives decide
+    each geometric check by the same rule."""
+
+    @pytest.mark.parametrize("rim", _RIM)
+    def test_rim_points_are_refused_everywhere(self, rim):
+        pts = np.array([(0.0, 0.0), rim])
+        for build in (lambda: PatchConfig(pts, 1.0), lambda: FinitePointSet("disk", pts)):
+            with pytest.raises(InvalidPointError, match=r"first offender: index 1\)"):
+                build()
+        with pytest.raises(InvalidPointError):
+            hyp_dist(0j, complex(*rim))
+        for kind, extra in (("finite", {}), ("patch", {"patch_radius": 1.0})):
+            with pytest.raises(ValidationError, match=r"points\[1\] must lie strictly inside the unit disk") as err:
+                parse_config(dict(space="hyperbolic2", kind=kind, points=pts.tolist(), **extra))
+            assert err.value.field == "points[1]"
+
+    @pytest.mark.parametrize(
+        "basis, refusal",
+        [
+            ([[1e-7, 0.0], [0.0, 1e-7]], None),
+            ([[1e200, 0.0], [0.0, 1e200]], "lengths between 1e-100 and 1e100"),
+            ([[1e-200, 0.0], [0.0, 1e-200]], "lengths between 1e-100 and 1e100"),
+            ([[1000.0, 0.0], [1000.0, 5e-10]], "linearly independent"),
+            ([[0.0, 0.0], [0.0, 0.0]], "lengths between 1e-100 and 1e100"),
+        ],
+    )
+    def test_parser_and_container_agree_on_bases(self, basis, refusal):
+        doc = {"space": "euclidean2", "kind": "periodic", "basis": basis, "motif": [[0.0, 0.0]]}
+        if refusal is None:
+            assert parse_config(doc).basis.tolist() == basis
+            assert PeriodicConfig(basis, [[0.0, 0.0]]).basis.tolist() == basis
+            return
+        with pytest.raises(ValidationError, match=refusal):
+            parse_config(doc)
+        with pytest.raises(InvalidPointError, match=refusal):
+            PeriodicConfig(basis, [[0.0, 0.0]])
+
+    def test_independence_does_not_change_with_scale(self):
+        rng = np.random.default_rng(5)
+        bases = [rng.normal(size=(2, 2)) for _ in range(20)]
+        bases += [np.array([[1.0, 0.0], [1.0, t]]) for t in (5e-13, 1e-12, 2e-12)]
+        for basis in bases:
+            want = independent_basis(basis)
+            for e in range(-1000, 1001, 50):
+                assert independent_basis(np.ldexp(basis, e)) == want
 
 
 class TestPatchConfig:

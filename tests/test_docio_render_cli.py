@@ -40,6 +40,19 @@ from balanced_configs.render import RenderStyle, render_svg
 # rows independent in absolute terms (|det| = 5e-7) but not relative to their
 # length
 _THIN_BASIS = {"space": "euclidean2", "kind": "periodic", "basis": [[1000.0, 0.0], [1000.0, 5e-10]], "motif": [[0.0, 0.0]]}
+# disk points with |z| < 1 by math.hypot that the disk distance's np.abs
+# rounds to 1, and orthogonal bases far from unit length
+_RIM_DOCS = {
+    "rim0": {"space": "hyperbolic2", "kind": "finite", "points": [[0.0, 0.0], [-0.6739394322538365, 0.7387866008891718]]},
+    "rim1": {
+        "space": "hyperbolic2",
+        "kind": "patch",
+        "points": [[0.0, 0.0], [-0.7554144733847383, -0.6552472612692543]],
+        "patch_radius": 1.0,
+    },
+    "tiny": dict(_THIN_BASIS, basis=[[1e-7, 0.0], [0.0, 1e-7]]),
+    "huge": dict(_THIN_BASIS, basis=[[1e200, 0.0], [0.0, 1e200]]),
+}
 
 
 def _tuples(arr):
@@ -276,19 +289,23 @@ class TestDocumentDiagnostics:
 
     def test_coordinate_rules(self):
         base = {"space": "euclidean2", "kind": "finite"}
-        bad_dim = _err(json.dumps({**base, "points": [[0, 0, 0]]}))
-        assert bad_dim.field == "points[0]"
-        not_num = _err(json.dumps({**base, "points": [["x", 0]]}))
-        assert not_num.field.startswith("points[0]")
-        as_bool = _err(json.dumps({**base, "points": [[True, 0]]}))
-        assert as_bool.field.startswith("points[0]")
+        for entry, message in (
+            ([0, 0, 0], "points[1] must be a list of 2 coordinates"),
+            (["x", 0], "points[1] must be a number, got 'x'"),
+            ([True, 0], "points[1] must be a number, got True"),
+        ):
+            err = _err(json.dumps({**base, "points": [[0, 1], entry]}))
+            assert (err.field, str(err)) == ("points[1]", message)
         # json accepts a bare NaN literal; the parser must not
         nan = _err('{"space": "euclidean2", "kind": "finite", "points": [[NaN, 0]]}')
-        assert nan.field.startswith("points[0]")
+        assert (nan.field, str(nan)) == ("points[0]", "points[0] must be finite, got nan")
+        # integers are coordinates
+        assert parse_config(json.dumps({**base, "points": [[0, 1]]})).points.tolist() == [[0.0, 1.0]]
 
     def test_sphere_and_disk_point_gates(self):
         off_sphere = {"space": "sphere2", "kind": "finite", "points": [[1.0, 0.0, 0.001]]}
-        assert _err(json.dumps(off_sphere)).field == "points[0]"
+        err = _err(json.dumps(off_sphere))
+        assert (err.field, str(err)) == ("points[0]", "points[0] must be a unit vector")
         rim = {"space": "hyperbolic2", "kind": "finite", "points": [[1.0, 0.0]]}
         assert _err(json.dumps(rim)).field == "points[0]"
 
@@ -328,8 +345,8 @@ class TestDocumentDiagnostics:
         with pytest.raises(ValidationError) as info:
             to_runtime(parse_config(text))
         assert info.value.field == "motif"
-        # |det| = 5e-7 passes parse_config's absolute gate; the container's
-        # test relative to the row lengths refuses the basis
+        # |det| = 5e-7, but relative to the row lengths the rows are
+        # dependent: parse_config refuses the basis by the container's rule
         with pytest.raises(ValidationError) as info:
             to_runtime(parse_config(json.dumps(_THIN_BASIS)))
         assert info.value.field == "basis"
@@ -976,6 +993,15 @@ class TestCli:
             (["verify", "{tmp}/ngon.json", "--max-radius", "inf"], "max_radius must be positive and finite"),
             # absolutely but not relatively independent basis rows
             (["verify", "{tmp}/thin.json"], "basis vectors must be linearly independent"),
+            # disk points on the rim by the distance's |z|, and a lattice
+            # too long for the kernel's squared distances
+            (["verify", "{tmp}/rim0.json"], "points[1] must lie strictly inside the unit disk"),
+            (["render", "{tmp}/rim0.json"], "points[1] must lie strictly inside the unit disk"),
+            (["verify", "{tmp}/rim1.json"], "points[1] must lie strictly inside the unit disk"),
+            (["render", "{tmp}/rim1.json"], "points[1] must lie strictly inside the unit disk"),
+            (["verify", "{tmp}/huge.json"], "basis rows must have lengths between 1e-100 and 1e100"),
+            (["render", "{tmp}/huge.json", "--window=-1e200,1e200,-1e200,1e200"], "lengths between 1e-100 and 1e100"),
+            (["render", "{tmp}/tiny.json", "--window=-1,1,-1,1"], "more than 2**31 translates"),
             # lattice windows past 2**31 translates per point
             (["verify", "{tmp}/hex.json", "--max-radius", "1e300"], "more than 2**31 translates"),
             (["verify", "{tmp}/hex.json", "--max-radius", "1e9"], "more than 2**31 translates"),
@@ -1001,9 +1027,21 @@ class TestCli:
             json.dumps({"space": "euclidean2", "kind": "periodic", "basis": [[1, 0], [0, 1]], "motif": [[0, 0], [1, 0]]})
         )
         (tmp_path / "thin.json").write_text(json.dumps(_THIN_BASIS))
+        for name, raw in _RIM_DOCS.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(raw))
         code, out, err = _run(capsys, [a.format(tmp=tmp_path) for a in argv])
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
+
+    def test_small_orthogonal_basis_is_admitted(self, capsys, tmp_path):
+        # |det| is 1e-14, but relative to the rows' length the basis is orthogonal
+        doc = tmp_path / "tiny.json"
+        doc.write_text(json.dumps(_RIM_DOCS["tiny"]))
+        code, out, err = _run(capsys, ["verify", str(doc)])
+        assert code == 0 and json.loads(out)["verdict"] == "pass"
+        assert err.startswith("balance pass")
+        code, out, err = _run(capsys, ["render", str(doc), "--window=-3e-7,3e-7,-3e-7,3e-7"])
+        assert code == 0 and out.startswith("<?xml")
 
     def test_flag_parsing_names_the_flag(self):
         cases = [

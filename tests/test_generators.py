@@ -154,7 +154,7 @@ class TestSphereFamilies:
             "print('scipy.spatial' in sys.modules)"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
             env=dict(os.environ, PYTHONPATH=path),
             capture_output=True,
             text=True,
@@ -617,7 +617,8 @@ class TestMidpointCollision:
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [
-                sys.executable, "-m", "balanced_configs", "generate", "--family", "rotation-tiling",
+                sys.executable, "-W", "error::RuntimeWarning", "-m", "balanced_configs",
+                "generate", "--family", "rotation-tiling",
                 "--angles", "0.01,0.01,119.98", "--order", "3", "--depth", "1",
             ],
             env=dict(os.environ, PYTHONPATH=path),

@@ -192,7 +192,7 @@ class TestVerifyPlane:
             "print('scipy.spatial' in sys.modules)\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
             env=dict(os.environ, PYTHONPATH=path),
             capture_output=True,
             text=True,
@@ -385,7 +385,7 @@ class TestVerifyHyperbolic:
             "print('scipy.spatial' in sys.modules)"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
             env=dict(os.environ, PYTHONPATH=path),
             capture_output=True,
             text=True,
@@ -417,7 +417,7 @@ class TestVerifyHyperbolic:
             "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code, *docs],
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code, *docs],
             cwd=tmp_path,
             env=dict(os.environ, PYTHONPATH=path),
             capture_output=True,
