@@ -41,7 +41,7 @@ import numpy as np
 
 from . import hyperbolic
 from .errors import AmbiguousClassError, InvalidPointError, NoPairsError, ParameterDomainError
-from .geometry import DEFAULT_TOL, as_vec, in_open_disk, independent_basis, measurable_basis, on_unit_sphere
+from .geometry import DEFAULT_TOL, as_complex, as_vec, basis_defect, in_open_disk, points_admitted
 
 _SPACES = ("plane", "sphere", "disk")
 
@@ -61,10 +61,10 @@ class PeriodicConfig:
 
     def __post_init__(self):
         self.basis = np.asarray(self.basis, dtype=float)
-        if self.basis.shape != (2, 2) or not measurable_basis(self.basis):
-            raise InvalidPointError("basis must be a 2x2 matrix, its rows of lengths between 1e-100 and 1e100")
-        if not independent_basis(self.basis):
-            raise InvalidPointError("basis vectors must be linearly independent")
+        if self.basis.shape != (2, 2):
+            raise InvalidPointError("basis must be a 2x2 matrix with rows v1, v2")
+        if defect := basis_defect(self.basis):
+            raise InvalidPointError(defect)
         motif = np.asarray(self.motif, dtype=float)
         if motif.ndim != 2 or motif.shape[1] != 2 or motif.shape[0] == 0:
             raise InvalidPointError("motif must be a nonempty (k, 2) array")
@@ -135,11 +135,10 @@ class FinitePointSet:
             raise InvalidPointError(f"points must be an (n, {dim}) array for space {self.space!r}")
         if not np.all(np.isfinite(pts)):
             raise InvalidPointError("point coordinates must be finite")
-        if self.space != "plane":
-            ok = on_unit_sphere(pts) if self.space == "sphere" else in_open_disk(_as_complex(pts))
-            if not ok.all():
-                rule = "have unit norm" if self.space == "sphere" else "satisfy |z| < 1"
-                raise InvalidPointError(f"{self.space} points must {rule} (first offender: index {ok.argmin()})")
+        ok = points_admitted(self.space, pts)
+        if not ok.all():
+            rule = "have unit norm" if self.space == "sphere" else "satisfy |z| < 1"
+            raise InvalidPointError(f"{self.space} points must {rule} (first offender: index {ok.argmin()})")
         self.points = pts
         if self.labels is not None:
             self.labels = tuple(self.labels)
@@ -163,7 +162,7 @@ class PatchConfig:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
-        ok = in_open_disk(_as_complex(pts))
+        ok = in_open_disk(as_complex(pts))
         if not ok.all():
             raise InvalidPointError(f"patch points must lie in the open unit disk (first offender: index {ok.argmin()})")
         if not (math.isfinite(self.patch_radius) and self.patch_radius >= 0.0):
@@ -179,7 +178,7 @@ class PatchConfig:
         return len(self.points)
 
     def center_dists(self):
-        return hyperbolic._dist(0j, _as_complex(self.points))
+        return hyperbolic._dist(0j, as_complex(self.points))
 
     def verifiable_radius(self, p):
         """Radius around p (hyperbolic) within which the patch is certified complete."""
@@ -365,17 +364,12 @@ def _index(c):
     return c._index
 
 
-def _as_complex(xy):
-    """Rows (x, y) as complex numbers x + iy: a view when xy is contiguous."""
-    return np.ascontiguousarray(xy, dtype=float).view(np.complex128)[..., 0]
-
-
 def _pair_dists(space, a, b):
     """Distance from each row of a to the matching row of b (broadcast): the
     hyperbolic distance on the disk, the Euclidean (on the sphere chordal)
     distance otherwise."""
     if space == "disk":
-        return hyperbolic._dist(_as_complex(a), _as_complex(b))
+        return hyperbolic._dist(as_complex(a), as_complex(b))
     return np.linalg.norm(b - a, axis=-1)
 
 

@@ -28,9 +28,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .configs import FinitePointSet, PatchConfig, PeriodicConfig, _as_complex
+from .configs import FinitePointSet, PatchConfig, PeriodicConfig
 from .errors import InvalidPointError, ValidationError
-from .geometry import in_open_disk, independent_basis, measurable_basis, on_unit_sphere
+from .geometry import basis_defect, points_admitted
 
 SPACES = ("euclidean2", "sphere2", "hyperbolic2")
 KINDS = ("finite", "periodic", "patch")
@@ -45,7 +45,7 @@ _RUNTIME_SPACE = {"euclidean2": "plane", "sphere2": "sphere", "hyperbolic2": "di
 _DOC_SPACE = {v: k for k, v in _RUNTIME_SPACE.items()}
 
 _TOP_LEVEL_FIELDS = {"space", "kind", "basis", "motif", "points", "patch_radius", "metadata"}
-# what the points of each curved space must do, by the predicates of geometry
+# what the points of each curved space must do, by geometry.points_admitted
 _SPACE_RULE = {"sphere2": "be a unit vector", "hyperbolic2": "lie strictly inside the unit disk"}
 
 # coordinate rows per %-format in serialize, which bounds the template and
@@ -177,10 +177,8 @@ def parse_config(text):
         basis = _parse_coords(raw_basis, 2, "basis")
         if len(basis) != 2:
             raise ValidationError("basis must have exactly 2 row vectors", field="basis")
-        if not measurable_basis(basis):
-            raise ValidationError("basis rows must have lengths between 1e-100 and 1e100", field="basis")
-        if not independent_basis(basis):
-            raise ValidationError("basis vectors must be linearly independent", field="basis")
+        if defect := basis_defect(basis):
+            raise ValidationError(defect, field="basis")
         if "motif" not in raw:
             raise ValidationError("periodic documents require 'motif'", field="motif")
         points = _parse_coords(raw["motif"], 2, "motif")
@@ -193,11 +191,10 @@ def parse_config(text):
         if "points" not in raw:
             raise ValidationError(f"{kind} documents require 'points'", field="points")
         points = _parse_coords(raw["points"], _COORD_DIM[space], "points")
-        if space != "euclidean2":
-            ok = on_unit_sphere(points) if space == "sphere2" else in_open_disk(_as_complex(points))
-            if not ok.all():
-                where = f"points[{ok.argmin()}]"
-                raise ValidationError(f"{where} must {_SPACE_RULE[space]}", field=where)
+        ok = points_admitted(_RUNTIME_SPACE[space], points)
+        if not ok.all():
+            where = f"points[{ok.argmin()}]"
+            raise ValidationError(f"{where} must {_SPACE_RULE[space]}", field=where)
         if kind == "patch":
             if "patch_radius" not in raw:
                 raise ValidationError("patch documents require 'patch_radius'", field="patch_radius")

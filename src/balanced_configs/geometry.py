@@ -48,28 +48,39 @@ def as_vec(p, dim):
     return arr
 
 
+def as_complex(xy):
+    """Rows (x, y) as complex numbers x + iy: a view when xy is contiguous."""
+    return np.ascontiguousarray(xy, dtype=float).view(np.complex128)[..., 0]
+
+
 def in_open_disk(z):
     """Whether each complex z has np.abs(z) < 1, the |z| that hyperbolic._dist
     divides by (math.hypot and Python's abs can round it one ulp lower)."""
     return np.abs(z) < 1.0
 
 
-def on_unit_sphere(pts):
-    """Whether each row of pts has Euclidean norm within 1e-9 of 1."""
-    with np.errstate(over="ignore"):  # a square past the float range is inf, and fails
-        return np.abs(np.linalg.norm(pts, axis=-1) - 1.0) <= 1e-9
+def points_admitted(space, pts):
+    """Whether each row of pts is a point of the space: any row of the plane,
+    a row of norm within 1e-9 of 1 on the sphere, one in_open_disk admits on
+    the disk."""
+    if space == "disk":
+        return in_open_disk(as_complex(pts))
+    if space == "sphere":
+        with np.errstate(over="ignore"):  # a square past the float range is inf, and fails
+            return np.abs(np.linalg.norm(pts, axis=-1) - 1.0) <= 1e-9
+    return np.ones(len(pts), dtype=bool)
 
 
-def independent_basis(basis):
-    """Whether a finite 2x2 basis has |det| > 1e-12 max(|v1|^2, |v2|^2) once
-    scaled exactly, by the power of two that brings its largest entry into
-    [0.5, 1): the verdict does not change with scale, and nothing overflows."""
-    basis = np.asarray(basis, dtype=float)
-    (a, b), (c, d) = np.ldexp(basis, -np.frexp(np.abs(basis).max())[1]).tolist()
-    return abs(a * d - b * c) > 1e-12 * max(a * a + b * b, c * c + d * d)
-
-
-def measurable_basis(basis):
-    """Whether both rows of a 2x2 basis have lengths in [1e-100, 1e100], where
-    the kernels' squared distances neither overflow nor underflow."""
-    return all(1e-100 <= math.hypot(*row) <= 1e100 for row in np.asarray(basis, dtype=float).tolist())
+def basis_defect(basis):
+    """Why a 2x2 basis spans no lattice the kernels can measure, or None:
+    rows of lengths outside [1e-4, 1e100], or rows dependent relative to
+    their length, |det| <= 1e-12 max(|v1|^2, |v2|^2), which does not change
+    with scale.  Past 1e100 squared distances overflow; the floor, a hundred
+    times the default class_tol, refuses lattices whose distance classes
+    merge (at rows of 1e-7 all classes out to the default cutoff are one)."""
+    (a, b), (c, d) = rows = np.asarray(basis, dtype=float).tolist()
+    if not all(1e-4 <= math.hypot(*row) <= 1e100 for row in rows):
+        return "basis rows must have lengths between 1e-4 and 1e100"
+    if abs(a * d - b * c) <= 1e-12 * max(a * a + b * b, c * c + d * d):
+        return "basis vectors must be linearly independent"
+    return None

@@ -30,7 +30,6 @@ from .configs import (
     FinitePointSet,
     PatchConfig,
     PeriodicConfig,
-    _as_complex,
     _closest_pair,
     _cluster,
     _neighbors,
@@ -40,7 +39,7 @@ from .configs import (
     min_distance,
 )
 from .errors import InsufficientPatchError, NoPairsError, ParameterDomainError
-from .geometry import DEFAULT_TOL, Tolerance
+from .geometry import DEFAULT_TOL, Tolerance, as_complex
 
 
 @dataclass(frozen=True)
@@ -223,7 +222,7 @@ def verify_sphere(c, params=VerifyParams(), mode="scalar_multiple"):
 
 
 def _mobius_directions(bases, owner, pts, starts, sizes):
-    w = hyperbolic._translate(_as_complex(bases)[owner], _as_complex(pts))
+    w = hyperbolic._translate(as_complex(bases)[owner], as_complex(pts))
     totals = np.add.reduceat(w / np.abs(w), starts)
     return np.column_stack([totals.real, totals.imag])
 

@@ -37,7 +37,7 @@ from balanced_configs.errors import (
     ValidationError,
 )
 from balanced_configs.generators import SubsetFlags, gen_hexagonal, gen_lattice, gen_triangular
-from balanced_configs.geometry import DEFAULT_TOL, Tolerance, independent_basis
+from balanced_configs.geometry import DEFAULT_TOL, Tolerance, basis_defect
 from balanced_configs.hyperbolic import hyp_dist
 from balanced_configs.verify import VerifyParams, verify_plane
 
@@ -538,18 +538,19 @@ class TestSharedGeometricRules:
     @pytest.mark.parametrize(
         "basis, refusal",
         [
-            ([[1e-7, 0.0], [0.0, 1e-7]], None),
-            ([[1e200, 0.0], [0.0, 1e200]], "lengths between 1e-100 and 1e100"),
-            ([[1e-200, 0.0], [0.0, 1e-200]], "lengths between 1e-100 and 1e100"),
+            ([[1e-3, 0.0], [0.0, 1e-3]], None),
+            ([[1e-7, 0.0], [0.0, 1e-7]], "lengths between 1e-4 and 1e100"),
+            ([[1e200, 0.0], [0.0, 1e200]], "lengths between 1e-4 and 1e100"),
+            ([[1e-200, 0.0], [0.0, 1e-200]], "lengths between 1e-4 and 1e100"),
             ([[1000.0, 0.0], [1000.0, 5e-10]], "linearly independent"),
-            ([[0.0, 0.0], [0.0, 0.0]], "lengths between 1e-100 and 1e100"),
+            ([[0.0, 0.0], [0.0, 0.0]], "lengths between 1e-4 and 1e100"),
         ],
     )
     def test_parser_and_container_agree_on_bases(self, basis, refusal):
         doc = {"space": "euclidean2", "kind": "periodic", "basis": basis, "motif": [[0.0, 0.0]]}
         if refusal is None:
             assert parse_config(doc).basis.tolist() == basis
-            assert PeriodicConfig(basis, [[0.0, 0.0]]).basis.tolist() == basis
+            assert min_distance(PeriodicConfig(basis, [[0.0, 0.0]])) == 1e-3
             return
         with pytest.raises(ValidationError, match=refusal):
             parse_config(doc)
@@ -560,10 +561,12 @@ class TestSharedGeometricRules:
         rng = np.random.default_rng(5)
         bases = [rng.normal(size=(2, 2)) for _ in range(20)]
         bases += [np.array([[1.0, 0.0], [1.0, t]]) for t in (5e-13, 1e-12, 2e-12)]
+        assert {basis_defect(b) for b in bases} == {None, "basis vectors must be linearly independent"}
+        # exact powers of two, over scales whose row lengths basis_defect admits
         for basis in bases:
-            want = independent_basis(basis)
-            for e in range(-1000, 1001, 50):
-                assert independent_basis(np.ldexp(basis, e)) == want
+            want = basis_defect(basis)
+            for e in range(-8, 301, 4):
+                assert basis_defect(np.ldexp(basis, e)) == want
 
 
 class TestPatchConfig:

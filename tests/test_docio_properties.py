@@ -1,9 +1,10 @@
 """Property tests of the document reader and writer: serialize gives the
 text of json.dumps(indent=2) for every document and round-trips through
-parse_config byte for byte, and near |z| = 1 and unit norm parse_config
-admits exactly the points that the containers admit, and the disk distance
-kernel and the CLI handle every point it admits.  Skipped when hypothesis
-is not installed."""
+parse_config byte for byte; parse_config accepts and refuses points as the
+per-entry type rules and then the shared geometric rule do; and near
+|z| = 1 and unit norm it admits exactly the points that the containers
+admit, and the disk distance kernel and the CLI handle every point it
+admits.  Skipped when hypothesis is not installed."""
 import contextlib
 import io
 import json
@@ -21,7 +22,7 @@ from balanced_configs.cli import main  # noqa: E402
 from balanced_configs.configs import PatchConfig  # noqa: E402
 from balanced_configs.docio import ConfigDocument, parse_config, serialize, to_runtime  # noqa: E402
 from balanced_configs.errors import ValidationError  # noqa: E402
-from balanced_configs.geometry import independent_basis, measurable_basis  # noqa: E402
+from balanced_configs.geometry import basis_defect, points_admitted  # noqa: E402
 
 # values whose shortest float text is awkward: signed zero, the smallest
 # subnormal, and the exponents where repr switches to scientific notation
@@ -48,7 +49,7 @@ def _documents(draw):
         return ConfigDocument("euclidean2", "finite", draw(_points(_anywhere)), metadata=meta)
     if kind == "periodic":
         basis = draw(st.tuples(st.tuples(_anywhere, _anywhere), st.tuples(_anywhere, _anywhere)))
-        assume(independent_basis(basis) and measurable_basis(basis))
+        assume(basis_defect(basis) is None)
         return ConfigDocument(
             "euclidean2", "periodic", draw(_points(_anywhere)), basis=basis, metadata=meta
         )
@@ -83,6 +84,30 @@ def test_serialize_matches_json_and_round_trips(doc):
     assert serialize(again) == text
 
 
+def _reference_points(raw, space):
+    """parse_config's verdict on a points list, by the per-entry type rules
+    and then the shared geometric rule: the coordinate tuples, or the (field,
+    message) of the first refusal."""
+    dim = 3 if space == "sphere2" else 2
+    points = []
+    for i, entry in enumerate(raw):
+        where = f"points[{i}]"
+        if not isinstance(entry, list) or len(entry) != dim:
+            return where, f"{where} must be a list of {dim} coordinates"
+        for x in entry:
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                return where, f"{where} must be a number, got {x!r}"
+            if not math.isfinite(x):
+                return where, f"{where} must be finite, got {float(x)!r}"
+        points.append(tuple(map(float, entry)))
+    ok = points_admitted("sphere" if space == "sphere2" else "disk", np.array(points))
+    if not ok.all():
+        where = f"points[{ok.argmin()}]"
+        rule = "be a unit vector" if space == "sphere2" else "lie strictly inside the unit disk"
+        return where, f"{where} must {rule}"
+    return tuple(points)
+
+
 def _nudge(x, steps):
     for _ in range(abs(steps)):
         x = math.nextafter(x, math.inf if steps > 0 else -math.inf)
@@ -93,10 +118,16 @@ _steps = st.integers(-4, 4)
 
 
 @st.composite
-def _edge_point(draw, space):
-    """A point within a few ulps of |z| = 1 on the disk, or of the 1e-9 norm
-    gate on the sphere."""
+def _edge_point(draw, space, type_defects=True):
+    """A point within a few ulps of |z| = 1 on the disk, of the 1e-9 norm
+    gate on the sphere, or, with type_defects, a point that fails the type
+    gate."""
     t = draw(st.floats(0.0, 2.0 * math.pi))
+    if type_defects and draw(st.integers(0, 5)) == 0:
+        bad = draw(st.sampled_from([True, "0.5", None, [0.1], math.nan, math.inf, 1]))
+        coords = [0.25] * (3 if space == "sphere2" else 2)
+        coords[draw(st.integers(0, len(coords) - 1))] = bad
+        return coords[: draw(st.sampled_from([len(coords), len(coords), len(coords) - 1]))]
     if space == "hyperbolic2":
         x = math.cos(t)
         return [x, _nudge(math.copysign(math.sqrt(max(0.0, 1.0 - x * x)), math.sin(t)), draw(_steps))]
@@ -104,6 +135,22 @@ def _edge_point(draw, space):
     scale = _nudge(1.0 + draw(st.sampled_from([-1e-9, 0.0, 1e-9])), draw(_steps))
     w = math.sqrt(max(0.0, 1.0 - u * u))
     return [scale * w * math.cos(t), scale * w * math.sin(t), scale * u]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_point_gates_match_per_entry_rules(data):
+    space = data.draw(st.sampled_from(["hyperbolic2", "sphere2"]))
+    inner = [0.1, -0.2] if space == "hyperbolic2" else [0.6, 0.0, 0.8]
+    raw = data.draw(st.lists(st.one_of(st.just(inner), _edge_point(space)), min_size=1, max_size=8))
+    expected = _reference_points(raw, space)
+    doc = {"space": space, "kind": "finite", "points": raw}
+    if isinstance(expected[0], str):
+        with pytest.raises(ValidationError) as err:
+            parse_config(doc)
+        assert (err.value.field, str(err.value)) == expected
+    else:
+        assert parse_config(doc).points.tolist() == [list(p) for p in expected]
 
 
 def _cli_code(argv):
@@ -117,7 +164,9 @@ def test_parser_containers_and_kernel_agree_near_the_boundary(data):
     space = data.draw(st.sampled_from(["hyperbolic2", "sphere2"]))
     kind = data.draw(st.sampled_from(["finite", "patch"])) if space == "hyperbolic2" else "finite"
     inner = [0.1, -0.2] if space == "hyperbolic2" else [0.6, 0.0, 0.8]
-    points = data.draw(st.lists(st.one_of(st.just(inner), _edge_point(space)), min_size=1, max_size=8))
+    points = data.draw(
+        st.lists(st.one_of(st.just(inner), _edge_point(space, type_defects=False)), min_size=1, max_size=8)
+    )
     raw = {"space": space, "kind": kind, "points": points}
     if kind == "patch":
         raw["patch_radius"] = 1.0

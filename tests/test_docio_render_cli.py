@@ -993,15 +993,18 @@ class TestCli:
             (["verify", "{tmp}/ngon.json", "--max-radius", "inf"], "max_radius must be positive and finite"),
             # absolutely but not relatively independent basis rows
             (["verify", "{tmp}/thin.json"], "basis vectors must be linearly independent"),
-            # disk points on the rim by the distance's |z|, and a lattice
-            # too long for the kernel's squared distances
+            # disk points on the rim by the distance's |z|, a lattice too long
+            # for the kernel's squared distances, and one finer than class_tol
+            # can resolve
             (["verify", "{tmp}/rim0.json"], "points[1] must lie strictly inside the unit disk"),
             (["render", "{tmp}/rim0.json"], "points[1] must lie strictly inside the unit disk"),
             (["verify", "{tmp}/rim1.json"], "points[1] must lie strictly inside the unit disk"),
             (["render", "{tmp}/rim1.json"], "points[1] must lie strictly inside the unit disk"),
-            (["verify", "{tmp}/huge.json"], "basis rows must have lengths between 1e-100 and 1e100"),
-            (["render", "{tmp}/huge.json", "--window=-1e200,1e200,-1e200,1e200"], "lengths between 1e-100 and 1e100"),
-            (["render", "{tmp}/tiny.json", "--window=-1,1,-1,1"], "more than 2**31 translates"),
+            (["verify", "{tmp}/huge.json"], "basis rows must have lengths between 1e-4 and 1e100"),
+            (["render", "{tmp}/huge.json", "--window=-1e200,1e200,-1e200,1e200"], "lengths between 1e-4 and 1e100"),
+            (["verify", "{tmp}/tiny.json"], "basis rows must have lengths between 1e-4 and 1e100"),
+            (["classify", "{tmp}/tiny.json"], "basis rows must have lengths between 1e-4 and 1e100"),
+            (["render", "{tmp}/tiny.json", "--window=-3e-7,3e-7,-3e-7,3e-7"], "lengths between 1e-4 and 1e100"),
             # lattice windows past 2**31 translates per point
             (["verify", "{tmp}/hex.json", "--max-radius", "1e300"], "more than 2**31 translates"),
             (["verify", "{tmp}/hex.json", "--max-radius", "1e9"], "more than 2**31 translates"),
@@ -1033,14 +1036,16 @@ class TestCli:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
 
-    def test_small_orthogonal_basis_is_admitted(self, capsys, tmp_path):
-        # |det| is 1e-14, but relative to the rows' length the basis is orthogonal
-        doc = tmp_path / "tiny.json"
-        doc.write_text(json.dumps(_RIM_DOCS["tiny"]))
+    def test_small_lattice_above_the_length_floor_is_measured(self, capsys, tmp_path):
+        # rows of 1e-3, where the default class_tol still separates the
+        # distance classes: the square lattice is balanced and a Lattice
+        doc = tmp_path / "small.json"
+        doc.write_text(json.dumps(dict(_THIN_BASIS, basis=[[1e-3, 0.0], [0.0, 1e-3]])))
         code, out, err = _run(capsys, ["verify", str(doc)])
         assert code == 0 and json.loads(out)["verdict"] == "pass"
-        assert err.startswith("balance pass")
-        code, out, err = _run(capsys, ["render", str(doc), "--window=-3e-7,3e-7,-3e-7,3e-7"])
+        code, out, err = _run(capsys, ["classify", str(doc)])
+        assert code == 0 and json.loads(out)["verdict"] == "Lattice"
+        code, out, err = _run(capsys, ["render", str(doc), "--window=-3e-3,3e-3,-3e-3,3e-3"])
         assert code == 0 and out.startswith("<?xml")
 
     def test_flag_parsing_names_the_flag(self):
