@@ -41,7 +41,7 @@ import numpy as np
 
 from . import hyperbolic
 from .errors import AmbiguousClassError, InvalidPointError, NoPairsError, ParameterDomainError
-from .geometry import DEFAULT_TOL, as_complex, as_vec, basis_defect, in_open_disk, points_admitted
+from .geometry import DEFAULT_TOL, as_complex, as_vec, basis_defect, in_open_disk, lagrange_reduce, points_admitted
 
 _SPACES = ("plane", "sphere", "disk")
 
@@ -220,23 +220,6 @@ def _motif_gap(c, above=-1.0):
     return best
 
 
-def _lagrange_reduce(basis):
-    """Shortest-vector basis of a 2d lattice (|v1| <= |v2|, |v1.v2| <= |v1|^2 / 2)."""
-    v1 = basis[0].astype(float).copy()
-    v2 = basis[1].astype(float).copy()
-    if v1 @ v1 > v2 @ v2:
-        v1, v2 = v2, v1
-    while True:
-        mu = round(float(v1 @ v2) / float(v1 @ v1))
-        v2 = v2 - mu * v1
-        if v2 @ v2 >= v1 @ v1:
-            break
-        v1, v2 = v2, v1
-    if v1 @ v2 < 0:
-        v2 = -v2
-    return np.array([v1, v2])
-
-
 def canonical_basis(c):
     """Equivalent PeriodicConfig over the Lagrange-reduced basis.
 
@@ -245,7 +228,7 @@ def canonical_basis(c):
     configuration and kept on it.
     """
     if c._reduced is None:
-        red = _lagrange_reduce(c.basis)
+        red = lagrange_reduce(c.basis)
         frac = c.cartesian_motif() @ np.linalg.inv(red)
         c._reduced = PeriodicConfig(red, np.mod(frac, 1.0), labels=c.labels)
     return c._reduced

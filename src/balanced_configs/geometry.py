@@ -71,16 +71,33 @@ def points_admitted(space, pts):
     return np.ones(len(pts), dtype=bool)
 
 
+def lagrange_reduce(basis):
+    """Shortest-vector basis of a 2d lattice (|v1| <= |v2|, |v1.v2| <= |v1|^2 / 2)."""
+    v1, v2 = np.array(basis, dtype=float)
+    if v1 @ v1 > v2 @ v2:
+        v1, v2 = v2, v1
+    while True:
+        mu = round(float(v1 @ v2) / float(v1 @ v1))
+        v2 = v2 - mu * v1
+        if v2 @ v2 >= v1 @ v1:
+            break
+        v1, v2 = v2, v1
+    if v1 @ v2 < 0:
+        v2 = -v2
+    return np.array([v1, v2])
+
+
 def basis_defect(basis):
     """Why a 2x2 basis spans no lattice the kernels can measure, or None:
-    rows of lengths outside [1e-4, 1e100], or rows dependent relative to
-    their length, |det| <= 1e-12 max(|v1|^2, |v2|^2), which does not change
-    with scale.  Past 1e100 squared distances overflow; the floor, a hundred
-    times the default class_tol, refuses lattices whose distance classes
-    merge (at rows of 1e-7 all classes out to the default cutoff are one)."""
+    rows past 1e100, where squared distances overflow; rows dependent
+    relative to their length, |det| <= 1e-12 max(|v1|^2, |v2|^2), at any
+    scale; or a lattice vector shorter than 1e-4, 100 times the default
+    class_tol, where classes merge (at 1e-7 all within the cutoff are one)."""
     (a, b), (c, d) = rows = np.asarray(basis, dtype=float).tolist()
     if not all(1e-4 <= math.hypot(*row) <= 1e100 for row in rows):
         return "basis rows must have lengths between 1e-4 and 1e100"
     if abs(a * d - b * c) <= 1e-12 * max(a * a + b * b, c * c + d * d):
         return "basis vectors must be linearly independent"
+    if math.hypot(*lagrange_reduce(rows)[0]) < 1e-4:
+        return "the lattice must have no vector shorter than 1e-4"
     return None

@@ -544,6 +544,8 @@ class TestSharedGeometricRules:
             ([[1e-200, 0.0], [0.0, 1e-200]], "lengths between 1e-4 and 1e100"),
             ([[1000.0, 0.0], [1000.0, 5e-10]], "linearly independent"),
             ([[0.0, 0.0], [0.0, 0.0]], "lengths between 1e-4 and 1e100"),
+            # rows of length 1 that span the lattice vector (0, 1e-9)
+            ([[1.0, 0.0], [1.0, 1e-9]], "no vector shorter than 1e-4"),
         ],
     )
     def test_parser_and_container_agree_on_bases(self, basis, refusal):
@@ -561,12 +563,13 @@ class TestSharedGeometricRules:
         rng = np.random.default_rng(5)
         bases = [rng.normal(size=(2, 2)) for _ in range(20)]
         bases += [np.array([[1.0, 0.0], [1.0, t]]) for t in (5e-13, 1e-12, 2e-12)]
-        assert {basis_defect(b) for b in bases} == {None, "basis vectors must be linearly independent"}
+        dependent = "basis vectors must be linearly independent"
+        assert {basis_defect(b) == dependent for b in bases} == {True, False}
         # exact powers of two, over scales whose row lengths basis_defect admits
         for basis in bases:
-            want = basis_defect(basis)
+            want = basis_defect(basis) == dependent
             for e in range(-8, 301, 4):
-                assert basis_defect(np.ldexp(basis, e)) == want
+                assert (basis_defect(np.ldexp(basis, e)) == dependent) == want
 
 
 class TestPatchConfig:

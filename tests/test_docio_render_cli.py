@@ -41,7 +41,8 @@ from balanced_configs.render import RenderStyle, render_svg
 # length
 _THIN_BASIS = {"space": "euclidean2", "kind": "periodic", "basis": [[1000.0, 0.0], [1000.0, 5e-10]], "motif": [[0.0, 0.0]]}
 # disk points with |z| < 1 by math.hypot that the disk distance's np.abs
-# rounds to 1, and orthogonal bases far from unit length
+# rounds to 1, orthogonal bases far from unit length, and unit rows that
+# span a lattice vector of length 1e-9
 _RIM_DOCS = {
     "rim0": {"space": "hyperbolic2", "kind": "finite", "points": [[0.0, 0.0], [-0.6739394322538365, 0.7387866008891718]]},
     "rim1": {
@@ -52,6 +53,7 @@ _RIM_DOCS = {
     },
     "tiny": dict(_THIN_BASIS, basis=[[1e-7, 0.0], [0.0, 1e-7]]),
     "huge": dict(_THIN_BASIS, basis=[[1e200, 0.0], [0.0, 1e200]]),
+    "skinny": dict(_THIN_BASIS, basis=[[1.0, 0.0], [1.0, 1e-9]]),
 }
 
 
@@ -994,7 +996,7 @@ class TestCli:
             # absolutely but not relatively independent basis rows
             (["verify", "{tmp}/thin.json"], "basis vectors must be linearly independent"),
             # disk points on the rim by the distance's |z|, a lattice too long
-            # for the kernel's squared distances, and one finer than class_tol
+            # for the kernel's squared distances, and ones finer than class_tol
             # can resolve
             (["verify", "{tmp}/rim0.json"], "points[1] must lie strictly inside the unit disk"),
             (["render", "{tmp}/rim0.json"], "points[1] must lie strictly inside the unit disk"),
@@ -1005,6 +1007,7 @@ class TestCli:
             (["verify", "{tmp}/tiny.json"], "basis rows must have lengths between 1e-4 and 1e100"),
             (["classify", "{tmp}/tiny.json"], "basis rows must have lengths between 1e-4 and 1e100"),
             (["render", "{tmp}/tiny.json", "--window=-3e-7,3e-7,-3e-7,3e-7"], "lengths between 1e-4 and 1e100"),
+            (["verify", "{tmp}/skinny.json"], "the lattice must have no vector shorter than 1e-4"),
             # lattice windows past 2**31 translates per point
             (["verify", "{tmp}/hex.json", "--max-radius", "1e300"], "more than 2**31 translates"),
             (["verify", "{tmp}/hex.json", "--max-radius", "1e9"], "more than 2**31 translates"),
