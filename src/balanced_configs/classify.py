@@ -1,10 +1,13 @@
 """Rotational-symmetry search and classification of planar configurations.
 
-Classification reduces the input to a primitive reduced cell, rescales so the
-minimal distance is 1, and dispatches on motif size and lattice shape; every
-candidate verdict is validated by regenerating the family from the recovered
-canonical parameters and probing membership both ways.  A failed validation
-falls back to Unknown rather than raising.
+Classification reduces the input to a primitive reduced cell and dispatches
+on motif size and lattice shape.  The hexagon families are recognised by
+their neighbour-case signature: the sorted counts of neighbours at the
+minimal distance, (3, 3) for the vertices, (3, 3, 2, 2, 2) with the edge
+midpoints and (3, 3, 2, 2, 2, 0) with the face centers too.  Every candidate
+verdict is validated by regenerating the family from the recovered canonical
+parameters and probing membership both ways.  A failed validation falls back
+to Unknown rather than raising.
 
 The symmetry search considers rotations only: a planar isometry fixing a
 single point is a nontrivial rotation about it, so nothing else can witness
@@ -22,7 +25,9 @@ from . import generators
 from .configs import (
     FinitePointSet,
     PeriodicConfig,
+    _base_points_for,
     _cluster,
+    _min_neighbor_counts,
     _neighbors,
     _ranges,
     _shift_grid,
@@ -36,7 +41,6 @@ from .configs import (
 )
 from .errors import AmbiguousClassError
 from .geometry import DEFAULT_TOL
-from .verify import _base_points_for, _min_neighbor_counts
 
 TRIANGULAR_LATTICE = "TriangularLattice"
 LATTICE = "Lattice"
@@ -59,7 +63,13 @@ CLASS_TAGS = (
 )
 
 _HEX_SHAPE_TOL = 1e-9
-_ANGLE_TOL = 1e-7
+# neighbour-case signatures of the hexagon-tiling families: vertices have 3
+# neighbours at the minimal distance, edge midpoints 2, face centers none
+_HEX_FAMILIES = {
+    (3, 3): HEX_VERTICES,
+    (3, 3, 2, 2, 2): HEX_WITH_MIDPOINTS,
+    (3, 3, 2, 2, 2, 0): HEX_WITH_MIDPOINTS_AND_CENTERS,
+}
 
 
 @dataclass(frozen=True)
@@ -178,20 +188,6 @@ def neighbor_case_signature(c, tol=DEFAULT_TOL):
 # classification
 
 
-def _neighbor_dirs(c, p, radius, tol):
-    nbrs = points_within(c, p, radius, tol)
-    return (nbrs[:, 0] - p[0]) + 1j * (nbrs[:, 1] - p[1])
-
-
-def _gaps_equal(dirs, count, gap):
-    """Directions must number `count` with consecutive angular gaps `gap`."""
-    if len(dirs) != count:
-        return False
-    angles = np.sort(np.mod(np.angle(dirs), 2.0 * math.pi))
-    diffs = np.diff(np.concatenate([angles, [angles[0] + 2.0 * math.pi]]))
-    return bool(np.all(np.abs(diffs - gap) < _ANGLE_TOL))
-
-
 def _is_hex_shaped(basis):
     n1 = float(np.linalg.norm(basis[0]))
     n2 = float(np.linalg.norm(basis[1]))
@@ -261,10 +257,11 @@ def classify(c, tol=DEFAULT_TOL):
     for an evenly spaced collinear finite set.
 
     Unknown is the verdict for input that fits no family, including the
-    domain and numeric failures of the period search and the family tests:
-    ValueError (periods that span no rank-2 lattice, a degenerate cell;
-    numpy's LinAlgError is one) and AmbiguousClassError.  Any other
-    exception is a bug and propagates.
+    domain and numeric failures of the period search, the family tests and
+    the rebuild: ValueError (periods that span no rank-2 lattice, a
+    degenerate cell, recovered parameters no generator accepts; numpy's
+    LinAlgError is one) and AmbiguousClassError.  Any other exception is a
+    bug and propagates.
     """
     if c.space != "plane":
         raise ValueError("classification requires planar input")
@@ -273,35 +270,24 @@ def classify(c, tol=DEFAULT_TOL):
     try:
         prim = primitive_periods(c, tol)
         result = _classify_primitive(prim, tol)
+        if result.tag == UNKNOWN or _sets_agree(prim, regenerate(result), tol):
+            return result
     except (ValueError, AmbiguousClassError):
-        return ConfigClass(UNKNOWN, {})
-    if result.tag == UNKNOWN:
-        return result
-    regen = regenerate(result)
-    if not _sets_agree(prim, regen, tol):
-        return ConfigClass(UNKNOWN, {})
-    return result
+        pass
+    return ConfigClass(UNKNOWN, {})
 
 
 def _classify_primitive(prim, tol):
-    min_d = min_distance(prim, tol)
-    cart = prim.cartesian_motif()
     k = prim.k
     if k == 1:
-        params = {"basis": prim.basis.tolist(), "origin": tuple(cart[0])}
+        params = {"basis": prim.basis.tolist(), "origin": tuple(prim.cartesian_motif()[0])}
         if _is_hex_shaped(prim.basis):
             params["side"] = float(np.linalg.norm(prim.basis[0]))
             return ConfigClass(TRIANGULAR_LATTICE, params)
         return ConfigClass(LATTICE, params)
     if k == 3:
         return _classify_lattice_midpoints(prim, tol)
-    if k == 2:
-        return _classify_hex(prim, cart, min_d, tol, HEX_VERTICES)
-    if k == 5:
-        return _classify_hex(prim, cart, min_d, tol, HEX_WITH_MIDPOINTS)
-    if k == 6:
-        return _classify_hex(prim, cart, min_d, tol, HEX_WITH_MIDPOINTS_AND_CENTERS)
-    return ConfigClass(UNKNOWN, {})
+    return _classify_hex(prim, tol)
 
 
 def _classify_lattice_midpoints(prim, tol):
@@ -334,32 +320,19 @@ def _classify_lattice_midpoints(prim, tol):
     )
 
 
-def _classify_hex(prim, cart, min_d, tol, tag):
-    """k in {2, 5, 6}: hexagon-tiling families, recognized by the neighbor
-    pattern at the minimal distance: vertices see 3 neighbors 120 degrees
-    apart, edge midpoints 2 collinear ones, face centers none."""
-    expected = {
-        HEX_VERTICES: {3: 2},
-        HEX_WITH_MIDPOINTS: {3: 2, 2: 3},
-        HEX_WITH_MIDPOINTS_AND_CENTERS: {3: 2, 2: 3, 0: 1},
-    }[tag]
-    roles = {}
-    counts = {}
-    for p in cart:
-        dirs = _neighbor_dirs(prim, p, min_d, tol)
-        n = len(dirs)
-        counts[n] = counts.get(n, 0) + 1
-        if n == 3 and not _gaps_equal(dirs, 3, 2.0 * math.pi / 3.0):
-            return ConfigClass(UNKNOWN, {})
-        if n == 2 and not _gaps_equal(dirs, 2, math.pi):
-            return ConfigClass(UNKNOWN, {})
-        roles.setdefault(n, []).append((p, dirs))
-    if counts != expected:
+def _classify_hex(prim, tol):
+    """The hexagon-tiling family whose neighbour-case signature the motif
+    has, placed by the first vertex and its first neighbour; classify's
+    rebuild validates it."""
+    min_d = min_distance(prim, tol)
+    cart = prim.cartesian_motif()
+    counts = _min_neighbor_counts(prim, cart, min_d, tol)
+    tag = _HEX_FAMILIES.get(tuple(sorted(counts.tolist(), reverse=True)))
+    if tag is None:
         return ConfigClass(UNKNOWN, {})
     side = min_d if tag == HEX_VERTICES else 2.0 * min_d
-    # the first vertex, and the neighbour directions the loop found for it
-    v0, dirs = roles[3][0]
-    theta_nb = float(np.angle(dirs[0]))
+    v0 = cart[int(np.argmax(counts == 3))]
+    theta_nb = float(np.angle(complex(*(points_within(prim, v0, min_d, tol)[0] - v0))))
     rotation = theta_nb - math.pi / 6.0
     # the canonical hexagon tiling has a vertex at side * e^{i pi/6} whose
     # neighbors point along 30, 150, 270 degrees

@@ -95,6 +95,15 @@ def _parse_basis(raw):
     return [_parse_pair_list(r, "--basis", 2) for r in rows]
 
 
+def _built_from(flag, build, *args):
+    """build(*args), with the InvalidPointError of a lattice or point set the
+    flag's value puts out of range refused as a usage error of that flag."""
+    try:
+        return build(*args)
+    except InvalidPointError as exc:
+        raise ValidationError(f"{flag}: {exc}", field=flag) from exc
+
+
 # characters per write: a text stream encodes each write whole, so slices
 # keep the encoded copy at one slice rather than a second copy of the text
 _WRITE_SLICE = 1 << 20
@@ -173,19 +182,16 @@ def _cmd_generate(args):
     family = args.family
     meta = {"family": family, "tool_version": __version__}
     if family == "triangular":
-        config = gen_triangular(args.side)
+        config = _built_from("--side", gen_triangular, args.side)
     elif family == "lattice":
         flags = _parse_sets(args.sets, _SUBSET_NAMES, SubsetFlags)
         v1, v2 = _parse_basis(args.basis)
-        try:
-            config = gen_lattice(v1, v2, flags)
-        except InvalidPointError as exc:
-            raise ValidationError(f"--basis: {exc}", field="--basis") from exc
+        config = _built_from("--basis", gen_lattice, v1, v2, flags)
     elif family == "hexagonal":
         flags = _parse_sets(args.sets, _SUBSET_NAMES, SubsetFlags)
-        config = gen_hexagonal(args.side, flags)
+        config = _built_from("--side", gen_hexagonal, args.side, flags)
     elif family == "line":
-        config = gen_line(args.count, args.spacing)
+        config = _built_from("--spacing", gen_line, args.count, args.spacing)
     elif family == "sphere":
         flags = _parse_sets(args.sets, _SUBSET_NAMES, SubsetFlags)
         config = gen_sphere(args.kind, flags)

@@ -23,6 +23,10 @@ of a finite set or patch, and the reduced cell and the minimal distance
 Every neighbour query goes through one kernel, ``_neighbors``, which takes
 an array of base points and returns flat (owner, point, distance) arrays,
 and one clusterer, ``_cluster``, which splits them into distance classes.
+Beside the kernel, ``_base_points_for`` picks the base points whose
+neighbourhood is known and ``_min_neighbor_counts`` counts each base's
+neighbours at the minimal distance, for verification and classification
+alike.
 Periodic input is enumerated from lattice translates, chosen by one rule,
 ``_translate_steps``, which refuses a box of more than 2**31 translates per
 point; its minimal distance is one query bounded by the nearest cell
@@ -44,6 +48,8 @@ from .errors import AmbiguousClassError, InvalidPointError, NoPairsError, Parame
 from .geometry import DEFAULT_TOL, as_complex, as_vec, basis_defect, in_open_disk, lagrange_reduce, points_admitted
 
 _SPACES = ("plane", "sphere", "disk")
+# what the points of each space must do, by geometry.points_admitted
+_SPACE_RULE = {"plane": "have coordinates within +-1e100", "sphere": "have unit norm", "disk": "satisfy |z| < 1"}
 
 
 @dataclass(eq=False)
@@ -137,8 +143,9 @@ class FinitePointSet:
             raise InvalidPointError("point coordinates must be finite")
         ok = points_admitted(self.space, pts)
         if not ok.all():
-            rule = "have unit norm" if self.space == "sphere" else "satisfy |z| < 1"
-            raise InvalidPointError(f"{self.space} points must {rule} (first offender: index {ok.argmin()})")
+            raise InvalidPointError(
+                f"{self.space} points must {_SPACE_RULE[self.space]} (first offender: index {ok.argmin()})"
+            )
         self.points = pts
         if self.labels is not None:
             self.labels = tuple(self.labels)
@@ -441,6 +448,26 @@ def _neighbors(c, bases, reach, dedup_tol):
     # index.points is in coordinate order, so idx breaks distance ties
     order = np.lexsort((idx, d, owner))
     return owner[order], index.points[idx[order]], d[order]
+
+
+def _base_points_for(c, reach, tol):
+    """Base points whose neighbourhood out to reach is known: motif
+    representatives, patch points with verifiable radius >= reach, points of
+    a planar window whose reach-ball lies inside it, or a whole finite set."""
+    if isinstance(c, PeriodicConfig):
+        return c.cartesian_motif()
+    if isinstance(c, PatchConfig):
+        return c.points[c.patch_radius - c.center_dists() >= reach]
+    if c.space == "plane":
+        return c.points[_windowed_plane_bases(c.points, reach, tol)]
+    return c.points
+
+
+def _min_neighbor_counts(c, bases, min_d, tol):
+    """How many neighbours each base has at the minimal distance min_d:
+    those within min_d + class_tol."""
+    owner = _neighbors(c, bases, min_d + tol.class_tol, tol.dedup_tol)[0]
+    return np.bincount(owner, minlength=len(bases))
 
 
 def _row_dots(a, b):

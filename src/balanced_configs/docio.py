@@ -45,8 +45,12 @@ _RUNTIME_SPACE = {"euclidean2": "plane", "sphere2": "sphere", "hyperbolic2": "di
 _DOC_SPACE = {v: k for k, v in _RUNTIME_SPACE.items()}
 
 _TOP_LEVEL_FIELDS = {"space", "kind", "basis", "motif", "points", "patch_radius", "metadata"}
-# what the points of each curved space must do, by geometry.points_admitted
-_SPACE_RULE = {"sphere2": "be a unit vector", "hyperbolic2": "lie strictly inside the unit disk"}
+# what the points of each space must do, by geometry.points_admitted
+_SPACE_RULE = {
+    "euclidean2": "have coordinates within +-1e100",
+    "sphere2": "be a unit vector",
+    "hyperbolic2": "lie strictly inside the unit disk",
+}
 
 # coordinate rows per %-format in serialize, which bounds the template and
 # the float objects alive at once to one block's worth

@@ -2,7 +2,7 @@
 
 
 class InvalidPointError(ValueError):
-    """A coordinate fails the constraints of its geometry (non-unit sphere vector, point outside the open disk, non-finite component)."""
+    """A coordinate fails the constraints of its geometry (non-unit sphere vector, point outside the open disk, planar coordinate past 1e100, non-finite component)."""
 
 
 class DegenerateDirectionError(ValueError):

@@ -60,15 +60,16 @@ def in_open_disk(z):
 
 
 def points_admitted(space, pts):
-    """Whether each row of pts is a point of the space: any row of the plane,
-    a row of norm within 1e-9 of 1 on the sphere, one in_open_disk admits on
-    the disk."""
+    """Whether each row of pts is a point of the space: a row of the plane
+    with coordinates within +-1e100 (the bound basis_defect puts on basis
+    rows, past which squared distances overflow), a row of norm within 1e-9
+    of 1 on the sphere, one in_open_disk admits on the disk."""
     if space == "disk":
         return in_open_disk(as_complex(pts))
     if space == "sphere":
         with np.errstate(over="ignore"):  # a square past the float range is inf, and fails
             return np.abs(np.linalg.norm(pts, axis=-1) - 1.0) <= 1e-9
-    return np.ones(len(pts), dtype=bool)
+    return np.all(np.abs(pts) <= 1e100, axis=-1)
 
 
 def lagrange_reduce(basis):

@@ -28,12 +28,12 @@ _GAP = 2.0 * math.asin(1.0 / (2.0 * _SQRT3))
 @dataclass(frozen=True)
 class LemmaCheck:
     """One catalog entry: a reference value at 2-decimal precision and an
-    optional strict bound the computed value must satisfy."""
+    optional bound the computed value must lie strictly below."""
 
     id: str
     description: str
     expected: float
-    bound: tuple | None  # ("<", threshold) or None
+    bound: float | None
 
 
 @dataclass(frozen=True)
@@ -261,15 +261,15 @@ def _sin(deg):
 # computes its value
 _L_ENTRIES = [
     (
-        LemmaCheck("L1", "gap-bound cosine sum at a 90 degree gap: 2cos45 + 2cos105 + cos165", -0.07, ("<", 0.0)),
+        LemmaCheck("L1", "gap-bound cosine sum at a 90 degree gap: 2cos45 + 2cos105 + cos165", -0.07, 0.0),
         lambda: 2 * _cos(45) + 2 * _cos(105) + _cos(165),
     ),
     (
-        LemmaCheck("L2", "(5,4) extremal separation: 2*sqrt(2)*sin15", 0.73, ("<", 1.0)),
+        LemmaCheck("L2", "(5,4) extremal separation: 2*sqrt(2)*sin15", 0.73, 1.0),
         lambda: 2 * _SQRT2 * _sin(15),
     ),
     (
-        LemmaCheck("L3", "(5,3) extremal separation: 2*sqrt(3)*sin15", 0.90, ("<", 1.0)),
+        LemmaCheck("L3", "(5,3) extremal separation: 2*sqrt(3)*sin15", 0.90, 1.0),
         lambda: 2 * _SQRT3 * _sin(15),
     ),
     (
@@ -278,7 +278,7 @@ _L_ENTRIES = [
             "(5,2) six-neighbor horizontal sum: 2cos146.01 + 2cos86.01 + 1 "
             "(the extremal angle 86.01 is taken as a given constant)",
             -0.52,
-            ("<", 0.0),
+            0.0,
         ),
         lambda: 2 * _cos(146.01) + 2 * _cos(86.01) + 1.0,
     ),
@@ -288,39 +288,30 @@ _L_ENTRIES = [
             "(5,2) bisector sum at the 154 degree opening: 2cos137 + 2cos77 + 1 "
             "(the opening angle is taken as a given constant)",
             -0.01,
-            ("<", 0.0),
+            0.0,
         ),
         lambda: 2 * _cos(137) + 2 * _cos(77) + 1.0,
     ),
     (
-        LemmaCheck("L6", "(3,3) extremal separation: 2*sqrt(3)*cos75", 0.90, ("<", 1.0)),
+        LemmaCheck("L6", "(3,3) extremal separation: 2*sqrt(3)*cos75", 0.90, 1.0),
         lambda: 2 * _SQRT3 * _cos(75),
     ),
     (
-        LemmaCheck("L7", "(4,3) reflected-neighbor separation: 2*sqrt(2)*sin15", 0.73, ("<", 1.0)),
+        LemmaCheck("L7", "(4,3) reflected-neighbor separation: 2*sqrt(2)*sin15", 0.73, 1.0),
         lambda: 2 * _SQRT2 * _sin(15),
     ),
 ]
 
 _S_ENTRIES = [
-    (LemmaCheck("S1", "(5,2) three-neighbor scene: distance R to Q1", 0.52, ("<", 1.0)), scene_s1),
-    (LemmaCheck("S2", "(4,3) left-extreme scene: distance R to Q2", 0.80, ("<", 1.0)), scene_s2),
-    (LemmaCheck("S3", "(5,4) extremal scene: distance R to P1", 0.73, ("<", 1.0)), scene_s3),
-    (LemmaCheck("S4", "(5,3) extremal scene: distance R to Q2", 0.90, ("<", 1.0)), scene_s4),
+    (LemmaCheck("S1", "(5,2) three-neighbor scene: distance R to Q1", 0.52, 1.0), scene_s1),
+    (LemmaCheck("S2", "(4,3) left-extreme scene: distance R to Q2", 0.80, 1.0), scene_s2),
+    (LemmaCheck("S3", "(5,4) extremal scene: distance R to P1", 0.73, 1.0), scene_s3),
+    (LemmaCheck("S4", "(5,3) extremal scene: distance R to Q2", 0.90, 1.0), scene_s4),
     (LemmaCheck("S5", "(3,2) chain scene: common chain spacing", 1.02, None), scene_s5),
     (LemmaCheck("S6a", "(3,2) chain scene: distance P' to R", 1.26, None), lambda: scene_s6()[0]),
     (LemmaCheck("S6b", "(3,2) chain scene: distance R to S", 1.50, None), lambda: scene_s6()[1]),
-    (LemmaCheck("S7", "(3,2) six-and-six extreme: distance R to S", 0.55, ("<", 1.0)), scene_s7),
+    (LemmaCheck("S7", "(3,2) six-and-six extreme: distance R to S", 0.55, 1.0), scene_s7),
 ]
-
-
-def _bound_holds(value, bound):
-    if bound is None:
-        return True
-    op, threshold = bound
-    if op == "<":
-        return value < threshold
-    raise ValueError(f"unsupported bound operator {op!r}")
 
 
 def run_catalog(match_tol=0.005):
@@ -335,7 +326,7 @@ def run_catalog(match_tol=0.005):
                 computed=value,
                 expected=entry.expected,
                 matches_expected=abs(value - entry.expected) <= match_tol,
-                bound_holds=_bound_holds(value, entry.bound),
+                bound_holds=entry.bound is None or value < entry.bound,
             )
         )
     return results

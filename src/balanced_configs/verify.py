@@ -30,12 +30,13 @@ from .configs import (
     FinitePointSet,
     PatchConfig,
     PeriodicConfig,
+    _base_points_for,
     _closest_pair,
     _cluster,
+    _min_neighbor_counts,
     _neighbors,
     _pair_dists,
     _row_dots,
-    _windowed_plane_bases,
     min_distance,
 )
 from .errors import InsufficientPatchError, NoPairsError, ParameterDomainError
@@ -248,26 +249,6 @@ def verify_hyperbolic(c, params=VerifyParams()):
             f"no point has verifiable_radius >= {cutoff}; patch_radius is {c.patch_radius}"
         )
     return _balance(c, bases, cutoff, tol, _mobius_directions, f"certified patch radius {c.patch_radius}")
-
-
-def _base_points_for(c, reach, tol):
-    """Base points whose neighbourhood out to reach is known: motif
-    representatives, patch points with verifiable radius >= reach, points of
-    a planar window whose reach-ball lies inside it, or a whole finite set."""
-    if isinstance(c, PeriodicConfig):
-        return c.cartesian_motif()
-    if isinstance(c, PatchConfig):
-        return c.points[c.patch_radius - c.center_dists() >= reach]
-    if c.space == "plane":
-        return c.points[_windowed_plane_bases(c.points, reach, tol)]
-    return c.points
-
-
-def _min_neighbor_counts(c, bases, min_d, tol):
-    """How many neighbours each base has at the minimal distance min_d:
-    those within min_d + class_tol."""
-    owner = _neighbors(c, bases, min_d + tol.class_tol, tol.dedup_tol)[0]
-    return np.bincount(owner, minlength=len(bases))
 
 
 def max_neighbor_count(c, params=VerifyParams()):

@@ -2,8 +2,10 @@
 against hand-counted point symmetries, neighbor signatures against counted
 shells, and classification round-trips under random similarities."""
 import cmath
+import hashlib
 import importlib
 import math
+import os
 import sys
 import tracemalloc
 
@@ -19,6 +21,7 @@ from balanced_configs.classify import (
     LINE,
     TRIANGULAR_LATTICE,
     UNKNOWN,
+    ConfigClass,
     GroupBalanceResult,
     SymmetryWitness,
     classify,
@@ -26,7 +29,9 @@ from balanced_configs.classify import (
     neighbor_case_signature,
     regenerate,
     rotation_symmetries_about,
+    _classify_primitive,
 )
+from balanced_configs.cli import main
 from balanced_configs.configs import (
     FinitePointSet,
     PeriodicConfig,
@@ -34,7 +39,10 @@ from balanced_configs.configs import (
     distance_classes,
     min_distance,
     points_within,
+    primitive_periods,
 )
+from balanced_configs.docio import document_from, serialize
+from balanced_configs.errors import ParameterDomainError
 from balanced_configs.generators import (
     SubsetFlags,
     gen_hexagonal,
@@ -249,8 +257,6 @@ class TestClassify:
             classify(gen_sphere("cube", SubsetFlags(True, False, False)))
 
     def test_regenerate_unknown_raises(self):
-        from balanced_configs.classify import ConfigClass
-
         with pytest.raises(ValueError):
             regenerate(ConfigClass(UNKNOWN, {}))
 
@@ -382,6 +388,127 @@ class TestBatchedWitnessSearch:
         assert peak < 1_500_000
 
 
+_ORACLE_ANGLE_TOL = 1e-7
+
+
+def _oracle_neighbor_dirs(c, p, radius, tol):
+    nbrs = points_within(c, p, radius, tol)
+    return (nbrs[:, 0] - p[0]) + 1j * (nbrs[:, 1] - p[1])
+
+
+def _oracle_gaps_equal(dirs, count, gap):
+    if len(dirs) != count:
+        return False
+    angles = np.sort(np.mod(np.angle(dirs), TAU))
+    diffs = np.diff(np.concatenate([angles, [angles[0] + TAU]]))
+    return bool(np.all(np.abs(diffs - gap) < _ORACLE_ANGLE_TOL))
+
+
+def _oracle_classify_hex(prim, cart, min_d, tol, tag):
+    """The per-point hexagon recogniser: one points_within query per motif
+    point, with the angular gaps of vertices and edge midpoints tested."""
+    expected = {
+        HEX_VERTICES: {3: 2},
+        HEX_WITH_MIDPOINTS: {3: 2, 2: 3},
+        HEX_WITH_MIDPOINTS_AND_CENTERS: {3: 2, 2: 3, 0: 1},
+    }[tag]
+    roles = {}
+    counts = {}
+    for p in cart:
+        dirs = _oracle_neighbor_dirs(prim, p, min_d, tol)
+        n = len(dirs)
+        counts[n] = counts.get(n, 0) + 1
+        if n == 3 and not _oracle_gaps_equal(dirs, 3, TAU / 3.0):
+            return ConfigClass(UNKNOWN, {})
+        if n == 2 and not _oracle_gaps_equal(dirs, 2, math.pi):
+            return ConfigClass(UNKNOWN, {})
+        roles.setdefault(n, []).append((p, dirs))
+    if counts != expected:
+        return ConfigClass(UNKNOWN, {})
+    side = min_d if tag == HEX_VERTICES else 2.0 * min_d
+    v0, dirs = roles[3][0]
+    theta_nb = float(np.angle(dirs[0]))
+    shift = complex(v0[0], v0[1]) - side * cmath.exp(1j * theta_nb)
+    return ConfigClass(
+        tag, {"side": side, "rotation": theta_nb - math.pi / 6.0, "translation": (shift.real, shift.imag)}
+    )
+
+
+def _oracle_classify_primitive(prim, tol):
+    """Dispatch on motif size, with the per-point hexagon recogniser."""
+    if prim.k in (1, 3):
+        return _classify_primitive(prim, tol)
+    tag = {2: HEX_VERTICES, 5: HEX_WITH_MIDPOINTS, 6: HEX_WITH_MIDPOINTS_AND_CENTERS}.get(prim.k)
+    if tag is None:
+        return ConfigClass(UNKNOWN, {})
+    return _oracle_classify_hex(prim, prim.cartesian_motif(), min_distance(prim, tol), tol, tag)
+
+
+def _planar_catalog_inputs(monkeypatch, seed):
+    """The benchmark's planar-catalog configurations and negative control."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    workload = importlib.import_module("workloads").PlanarCatalog(None, seed)
+    workload.prepare()
+    return [config for _, config, _ in workload.items] + [workload.negative]
+
+
+def _perturbed_hex_motifs():
+    """Hexagonal motifs under a random motion with one point moved by 1e-9
+    to 1e-2 in a random direction."""
+    rng = np.random.default_rng(17)
+    out = []
+    for flags in (SubsetFlags(True, False, False), SubsetFlags(True, True, False), SubsetFlags(True, True, True)):
+        for _ in range(40):
+            c = gen_hexagonal(float(rng.uniform(0.5, 2.0)), flags).transformed(**_random_motion(rng))
+            cart = c.cartesian_motif()
+            step = 10.0 ** rng.uniform(-9.0, -2.0)
+            angle = rng.uniform(0.0, TAU)
+            cart[rng.integers(c.k)] += step * np.array([math.cos(angle), math.sin(angle)])
+            out.append(PeriodicConfig(c.basis, cart @ np.linalg.inv(c.basis)))
+    return out
+
+
+class TestHexSignatureOracle:
+    """The signature recogniser gives exactly the per-point recogniser's
+    verdicts and canonical parameters."""
+
+    def _assert_matches(self, monkeypatch, configs):
+        classify_module = importlib.import_module("balanced_configs.classify")
+        got = [repr(classify(c)) for c in configs]
+        with monkeypatch.context() as m:
+            m.setattr(classify_module, "_classify_primitive", _oracle_classify_primitive)
+            want = [repr(classify(c)) for c in configs]
+        assert got == want
+
+    def test_family_supercells(self, monkeypatch):
+        self._assert_matches(monkeypatch, [p.values[0] for p in _family_supercells()])
+
+    @pytest.mark.parametrize("seed", [*range(1, 11), 1009])
+    def test_planar_catalog(self, monkeypatch, seed):
+        self._assert_matches(monkeypatch, _planar_catalog_inputs(monkeypatch, seed))
+
+    def test_perturbed_hex_motifs(self, monkeypatch):
+        configs = _perturbed_hex_motifs()
+        self._assert_matches(monkeypatch, configs)
+        # the moves reach every refusal: of the signature, of the per-point
+        # recogniser's angle test only, and of the rebuild only
+        refusals = set()
+        for c in configs:
+            prim = primitive_periods(c)
+            refusals.add((_classify_primitive(prim, DEFAULT_TOL).tag, _oracle_classify_primitive(prim, DEFAULT_TOL).tag))
+        assert {(UNKNOWN, UNKNOWN), (HEX_VERTICES, UNKNOWN), (HEX_VERTICES, HEX_VERTICES)} <= refusals
+
+    def test_refused_rebuild_is_unknown(self, monkeypatch):
+        from balanced_configs import generators
+
+        def refused(*args, **kwargs):
+            raise ParameterDomainError("injected")
+
+        c = gen_hexagonal(1.0, SubsetFlags(True, False, False))
+        monkeypatch.setattr(generators, "gen_hexagonal", refused)
+        assert classify(c).tag == UNKNOWN
+
+
 def _count_calls(monkeypatch, module, name):
     """Count the calls of module.name made through any loaded package module,
     by rebinding every package namespace that refers to it (as a span tracer
@@ -417,3 +544,53 @@ class TestTracedLayers:
         calls = _count_calls(monkeypatch, importlib.import_module("balanced_configs.configs"), "distance_classes")
         assert is_group_balanced(self.CONFIG).verdict
         assert calls
+
+
+def _golden_configs():
+    motion = {"rotation": 0.7, "translation": (0.4, -1.1), "scale": 1.3}
+    oblique = np.array([[1.0, 0.0], [0.35, 1.25]])
+    families = {
+        "triangular": gen_triangular(1.3),
+        "lattice": PeriodicConfig(oblique, [(0.0, 0.0)]),
+        "lattice-midpoints": gen_lattice(oblique[0], oblique[1], SubsetFlags(True, True, False)),
+        "hex-vertices": gen_hexagonal(0.9, SubsetFlags(True, False, False)),
+        "hex-midpoints": gen_hexagonal(0.9, SubsetFlags(True, True, False)),
+        "hex-midpoints-centers": gen_hexagonal(0.9, SubsetFlags(True, True, True)),
+    }
+    configs = {name: f.transformed(**motion) for name, f in families.items()}
+    configs["line"] = gen_line(9, 0.7)
+    configs["off-centre"] = PeriodicConfig(np.eye(2), [(0.0, 0.0), (0.5, 0.52)])
+    return configs
+
+
+class TestGoldenClassifyReports:
+    """CLI classify and symmetry stdout pinned by sha256, with the exit code:
+    the six periodic families under one fixed motion, a Line and an Unknown
+    control."""
+
+    WANT = {
+        ("classify", "triangular"): (0, "be1510e1171484c01b7b27f822fed766037e70eb59c38f4ce8fc3d46b66f7f23"),
+        ("classify", "lattice"): (0, "b81ccb4f82728223360cfd868b8240694f72a0a27d1395c7ca6013f5b6965265"),
+        ("classify", "lattice-midpoints"): (0, "327ed31dbee49c1a676a620449828df931774e0e224840ca41330fd6741a7d05"),
+        ("classify", "hex-vertices"): (0, "90b1e5004e8a814cff362b107d191ce56df7c677af23765c1aa48723543b61a6"),
+        ("classify", "hex-midpoints"): (0, "b79c0e77b720202fc7127e8098c395d3c377b7f5d28e88e29ed621775a5f9443"),
+        ("classify", "hex-midpoints-centers"): (0, "762f99c9ba5bef91756071e4bbcefa78c637cd065a986df330de64e7b3c6a44f"),
+        ("classify", "line"): (0, "31678b808ce6daa71de9bad741fb19e769c380f84d159ad61aecf3a040638daf"),
+        ("classify", "off-centre"): (1, "f2669b508ef0acb2a94e2e68528c00b340ca047e9780d936328f3167988dbc72"),
+        ("symmetry", "triangular"): (0, "7c6af726b37bcaf61006d1af7ec0a09957b4d848488951534481452f300e09dd"),
+        ("symmetry", "lattice"): (0, "6867b6bdea734270ddeeb1539a8e135ead98930e964dca324b0b7911205e6241"),
+        ("symmetry", "lattice-midpoints"): (0, "2e6f7680814b2078bd086efef4a356fcee9d012f566123096d12c6e451df2572"),
+        ("symmetry", "hex-vertices"): (0, "736904fe37c113283533b68732f524353c5f45389e6adec122f1d6c6e963ba81"),
+        ("symmetry", "hex-midpoints"): (0, "63520d8854a4bfc565ea72085db185d3bb9effb5184b5a0cbb80764f578ef5c9"),
+        ("symmetry", "hex-midpoints-centers"): (0, "ca245c3160a6b62297838c9487f4b10d6d92ab4189dc512eed0d420743893853"),
+        ("symmetry", "line"): (0, "e0a7529638fee5ce707a038003ab30fcc564c3db69960a390d218693fa033073"),
+        ("symmetry", "off-centre"): (1, "e0724b1d53d2f6f210b739a950398c45f966602be7a273881f2ae7ac88231dff"),
+    }
+
+    @pytest.mark.parametrize("command, name", list(WANT))
+    def test_stdout_pinned(self, capsys, tmp_path, command, name):
+        path = tmp_path / "config.json"
+        path.write_text(serialize(document_from(_golden_configs()[name])))
+        code = main([command, str(path)])
+        got = (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        assert got == self.WANT[command, name]

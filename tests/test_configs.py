@@ -535,6 +535,20 @@ class TestSharedGeometricRules:
                 parse_config(dict(space="hyperbolic2", kind=kind, points=pts.tolist(), **extra))
             assert err.value.field == "points[1]"
 
+    @pytest.mark.parametrize("far", [1e200, -1.0000000000000002e100, 1.7976931348623157e308])
+    def test_planar_points_past_the_range_are_refused_everywhere(self, far):
+        pts = [[0.0, 0.0], [1.0, 0.0], [1.0, far]]
+        with pytest.raises(InvalidPointError, match=r"within \+-1e100 \(first offender: index 2\)"):
+            FinitePointSet("plane", pts)
+        with pytest.raises(ValidationError, match=r"points\[2\] must have coordinates within \+-1e100") as err:
+            parse_config({"space": "euclidean2", "kind": "finite", "points": pts})
+        assert err.value.field == "points[2]"
+
+    def test_planar_points_at_the_range_are_measured(self):
+        pts = [[0.0, 0.0], [1e100, 0.0], [-1e100, 0.0]]
+        assert parse_config({"space": "euclidean2", "kind": "finite", "points": pts}).points.tolist() == pts
+        assert min_distance(FinitePointSet("plane", pts)) == 1e100
+
     @pytest.mark.parametrize(
         "basis, refusal",
         [

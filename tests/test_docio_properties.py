@@ -46,7 +46,9 @@ def _documents(draw):
     kind = draw(st.sampled_from(["finite", "periodic", "patch"]))
     meta = draw(_metadata)
     if kind == "finite":
-        return ConfigDocument("euclidean2", "finite", draw(_points(_anywhere)), metadata=meta)
+        points = draw(_points(_anywhere))
+        assume(points_admitted("plane", np.array(points)).all())
+        return ConfigDocument("euclidean2", "finite", points, metadata=meta)
     if kind == "periodic":
         basis = draw(st.tuples(st.tuples(_anywhere, _anywhere), st.tuples(_anywhere, _anywhere)))
         assume(basis_defect(basis) is None)

@@ -54,6 +54,7 @@ _RIM_DOCS = {
     "tiny": dict(_THIN_BASIS, basis=[[1e-7, 0.0], [0.0, 1e-7]]),
     "huge": dict(_THIN_BASIS, basis=[[1e200, 0.0], [0.0, 1e200]]),
     "skinny": dict(_THIN_BASIS, basis=[[1.0, 0.0], [1.0, 1e-9]]),
+    "far": {"space": "euclidean2", "kind": "finite", "points": [[0.0, 0.0], [1e200, 0.0], [2e200, 0.0]]},
 }
 
 
@@ -1014,6 +1015,14 @@ class TestCli:
             (["verify", "{tmp}/hex.json", "--max-radius", "1e5"], "more than 2**31 translates"),
             (["render", "{tmp}/hex.json", "--window=-1e300,1e300,-1e300,1e300"], "more than 2**31 translates"),
             (["render", "{tmp}/hex.json", "--window=-1e6,1e6,-1e6,1e6"], "more than 2**31 translates"),
+            # lattices and point sets past the coordinate range
+            (["generate", "--family", "triangular", "--side", "1e200"], "--side: basis rows must have lengths between"),
+            (["generate", "--family", "triangular", "--side", "1e-5"], "--side: basis rows must have lengths between"),
+            (["generate", "--family", "hexagonal", "--side", "1e200"], "--side: basis rows must have lengths between"),
+            (["generate", "--family", "hexagonal", "--side", "1e-5"], "--side: basis rows must have lengths between"),
+            (["generate", "--family", "line", "--spacing", "1e200"], "--spacing: plane points must have coordinates within +-1e100"),
+            (["verify", "{tmp}/far.json"], "points[1] must have coordinates within +-1e100"),
+            (["classify", "{tmp}/far.json"], "points[1] must have coordinates within +-1e100"),
         ],
     )
     def test_typed_refusals_exit_two(self, capsys, tmp_path, argv, message):
