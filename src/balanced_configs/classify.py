@@ -332,6 +332,7 @@ def _classify_hex(prim, tol):
         return ConfigClass(UNKNOWN, {})
     side = min_d if tag == HEX_VERTICES else 2.0 * min_d
     v0 = cart[int(np.argmax(counts == 3))]
+    # numpy's arctan2, which math.atan2 can differ from in the last bit
     theta_nb = float(np.angle(complex(*(points_within(prim, v0, min_d, tol)[0] - v0))))
     rotation = theta_nb - math.pi / 6.0
     # the canonical hexagon tiling has a vertex at side * e^{i pi/6} whose
