@@ -1,36 +1,50 @@
-"""Byte digests of a fixed grid of hyperbolic tiling builds.
+"""Byte digests of a fixed grid of generator builds.
 
     PYTHONPATH=src python3 scripts/tiling_digests.py > digests.txt
 
-Prints one line per build: the family, its parameters and depth, then the
-point count, ``patch_radius.hex()``, the sha256 of the serialized document
-with every point set selected and the sha256 of that configuration's SVG in
-the default render style, or the name of the exception the build raised.
-The grid is seven triangle groups and six rotation tilings
-(angles in degrees, then the order m), each at depths 0-6, apart from
-(3,3,5), which stops at depth 5: 90 builds.  Two commits that print the same
-lines build the same bytes, so a builder change that must keep its output
-(same arithmetic, same heap order) is checked by diffing this script's
-output before and after it; the SVG digests do the same for a change to
-the renderer.
+Prints one line per build: the family, its parameters, then the point count,
+the sha256 of the serialized document and, where the line has one, the
+sha256 of that configuration's SVG, or the name of the exception the build
+raised.
+
+* Hyperbolic tilings with every point set selected, with ``patch_radius.hex()``
+  and the SVG in the default render style: seven triangle groups and six
+  rotation tilings (angles in degrees, then the order m), each at depths 0-6,
+  apart from (3,3,5), which stops at depth 5: 90 builds.
+* The point-set selection of every family that selects by flags:
+  ``gen_lattice`` on one oblique basis and ``gen_hexagonal``, each under the
+  seven subsets of vertices, edge midpoints and face centres, with the SVG of
+  a fixed window; ``gen_sphere`` on the five Platonic kinds and ``ngon(5)``
+  under the same seven subsets; and the depth-4 (30, 40, 50) rotation tiling
+  under the 15 subsets of its four flags: 71 builds.
+
+Two commits that print the same lines build the same bytes, so a builder
+change that must keep its output (same arithmetic, same heap order, same
+selection order) is checked by diffing this script's output before and
+after it; the SVG digests do the same for a change to the renderer.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 
 from balanced_configs.docio import document_from, serialize
 from balanced_configs.generators import (
     RotationTilingFlags,
     RotationTilingParams,
+    SubsetFlags,
     TriangleGroupFlags,
     TriangleGroupParams,
     _build_rotation_tiling,
     _build_triangle_group,
+    gen_hexagonal,
     gen_hyp_rotation_tiling,
     gen_hyp_triangle_group,
+    gen_lattice,
+    gen_sphere,
 )
-from balanced_configs.render import render_svg
+from balanced_configs.render import RenderStyle, render_svg
 
 TRIANGLE_GROUPS = ((2, 3, 7), (2, 4, 5), (3, 3, 4), (2, 3, 8), (4, 4, 4), (2, 5, 5), (3, 3, 5))
 ROTATION_TILINGS = (
@@ -42,6 +56,19 @@ ROTATION_TILINGS = (
     ((10, 20, 42), 5),
 )
 MAX_DEPTH = {(3, 3, 5): 5}
+SPHERE_KINDS = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron", "ngon(5)")
+OBLIQUE_BASIS = ((1.0, 0.0), (0.3, 1.3))
+PLANAR_WINDOW = RenderStyle(window=((-2.0, 2.0), (-2.0, 2.0)))
+
+
+def _subsets(count):
+    """Every nonempty tuple of count flags, in binary counting order."""
+    for bits in range(1, 2**count):
+        yield tuple(bool(bits >> (count - 1 - i) & 1) for i in range(count))
+
+
+def _name(flags):
+    return "+".join(f for f in flags.__dataclass_fields__ if getattr(flags, f))
 
 
 def _builds():
@@ -64,6 +91,26 @@ def _builds():
             )
 
 
+def _selections():
+    """(name, build, render style or None) of each point-set selection."""
+    for bits in _subsets(3):
+        flags = SubsetFlags(*bits)
+        yield "lattice %s" % _name(flags), lambda f=flags: gen_lattice(*OBLIQUE_BASIS, f), PLANAR_WINDOW
+        yield "hexagonal %s" % _name(flags), lambda f=flags: gen_hexagonal(1.0, f), PLANAR_WINDOW
+    for kind, bits in itertools.product(SPHERE_KINDS, _subsets(3)):
+        flags = SubsetFlags(*bits)
+        yield "sphere %s %s" % (kind, _name(flags)), lambda k=kind, f=flags: gen_sphere(k, f), None
+    params = RotationTilingParams(*(math.radians(a) for a in (30, 40, 50)), 3, 4)
+    for bits in _subsets(4):
+        flags = RotationTilingFlags(*bits)
+        name = "rotation-tiling 30,40,50 m=3 depth=4 %s" % _name(flags)
+        yield name, lambda f=flags: gen_hyp_rotation_tiling(params, f), None
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def main():
     for name, build in _builds():
         try:
@@ -71,12 +118,22 @@ def main():
         except Exception as exc:
             print(name, type(exc).__name__, flush=True)
         else:
-            sha = hashlib.sha256(serialize(document_from(config)).encode()).hexdigest()
-            svg = hashlib.sha256(render_svg(config).encode()).hexdigest()
+            sha = _sha(serialize(document_from(config)))
+            svg = _sha(render_svg(config))
             print(name, config.n, config.patch_radius.hex(), sha, svg, flush=True)
         # each build is cached; drop it so memory stays at one build
         _build_triangle_group.cache_clear()
         _build_rotation_tiling.cache_clear()
+    for name, build, style in _selections():
+        try:
+            config = build()
+        except Exception as exc:
+            print(name, type(exc).__name__, flush=True)
+        else:
+            line = [name, len(config.labels), _sha(serialize(document_from(config)))]
+            if style is not None:
+                line.append(_sha(render_svg(config, style)))
+            print(*line, flush=True)
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from .configs import (
     _neighbors,
     _ranges,
     _shift_grid,
+    _unit_distance,
     canonical_basis,
     contains,
     contains_many,
@@ -63,12 +64,13 @@ CLASS_TAGS = (
 )
 
 _HEX_SHAPE_TOL = 1e-9
-# neighbour-case signatures of the hexagon-tiling families: vertices have 3
-# neighbours at the minimal distance, edge midpoints 2, face centers none
+# the hexagon-tiling families by neighbour-case signature, with the point
+# sets that regenerate them: vertices have 3 neighbours at the minimal
+# distance, edge midpoints 2, face centers none
 _HEX_FAMILIES = {
-    (3, 3): HEX_VERTICES,
-    (3, 3, 2, 2, 2): HEX_WITH_MIDPOINTS,
-    (3, 3, 2, 2, 2, 0): HEX_WITH_MIDPOINTS_AND_CENTERS,
+    (3, 3): (HEX_VERTICES, generators.SubsetFlags(vertices=True)),
+    (3, 3, 2, 2, 2): (HEX_WITH_MIDPOINTS, generators.SubsetFlags(vertices=True, edge_midpoints=True)),
+    (3, 3, 2, 2, 2, 0): (HEX_WITH_MIDPOINTS_AND_CENTERS, generators.SubsetFlags(True, True, True)),
 }
 
 
@@ -150,7 +152,7 @@ def rotation_symmetries_about(c, p, tol=DEFAULT_TOL):
     p = np.asarray(p, dtype=float).reshape(1, 2)
     if not contains(c, p, tol):
         raise ValueError("symmetry center must belong to the configuration")
-    return _rotation_angles(c, p, min_distance(c, tol), tol)[0]
+    return _rotation_angles(c, p, _unit_distance(c, tol), tol)[0]
 
 
 def is_group_balanced(c, tol=DEFAULT_TOL):
@@ -163,7 +165,7 @@ def is_group_balanced(c, tol=DEFAULT_TOL):
     """
     if c.space != "plane":
         raise ValueError("group-balance detection requires planar input")
-    min_d = min_distance(c, tol)
+    min_d = _unit_distance(c, tol)
     # a window point needs its validation window inside the set; motif
     # representatives need none, and _base_points_for ignores the reach
     bases = _base_points_for(c, 4.0 * min_d + min_d, tol)
@@ -327,8 +329,8 @@ def _classify_hex(prim, tol):
     min_d = min_distance(prim, tol)
     cart = prim.cartesian_motif()
     counts = _min_neighbor_counts(prim, cart, min_d, tol)
-    tag = _HEX_FAMILIES.get(tuple(sorted(counts.tolist(), reverse=True)))
-    if tag is None:
+    tag, _ = _HEX_FAMILIES.get(tuple(sorted(counts.tolist(), reverse=True)), (UNKNOWN, None))
+    if tag == UNKNOWN:
         return ConfigClass(UNKNOWN, {})
     side = min_d if tag == HEX_VERTICES else 2.0 * min_d
     v0 = cart[int(np.argmax(counts == 3))]
@@ -360,16 +362,10 @@ def regenerate(cc):
         origin = np.asarray(p["origin"], dtype=float)
         pts = np.array([origin, origin + basis[0] / 2.0, origin + basis[1] / 2.0])
         return PeriodicConfig(basis, pts @ np.linalg.inv(basis))
-    if cc.tag in (HEX_VERTICES, HEX_WITH_MIDPOINTS, HEX_WITH_MIDPOINTS_AND_CENTERS):
-        flags = {
-            HEX_VERTICES: generators.SubsetFlags(vertices=True),
-            HEX_WITH_MIDPOINTS: generators.SubsetFlags(vertices=True, edge_midpoints=True),
-            HEX_WITH_MIDPOINTS_AND_CENTERS: generators.SubsetFlags(
-                vertices=True, edge_midpoints=True, face_centers=True
-            ),
-        }[cc.tag]
-        base = generators.gen_hexagonal(p["side"], flags)
-        return base.transformed(rotation=p["rotation"], translation=p["translation"])
+    for tag, flags in _HEX_FAMILIES.values():
+        if cc.tag == tag:
+            base = generators.gen_hexagonal(p["side"], flags)
+            return base.transformed(rotation=p["rotation"], translation=p["translation"])
     if cc.tag == LINE:
         direction = np.asarray(p["direction"], dtype=float)
         anchor = np.asarray(p["anchor"], dtype=float)

@@ -51,17 +51,14 @@ from .render import RenderStyle, render_svg
 from .verify import VerifyParams, verify_hyperbolic, verify_plane, verify_sphere
 from .geometry import DEFAULT_TOL, Tolerance
 
+# the set names of SubsetFlags; every other flag class is named by its fields
 _SUBSET_NAMES = {"vertices": "vertices", "midpoints": "edge_midpoints", "centers": "face_centers"}
-_TG_NAMES = {"p_centers": "p_centers", "q_centers": "q_centers", "r_centers": "r_centers"}
-_RT_NAMES = {
-    "vertices": "vertices",
-    "mid_ab": "mid_ab",
-    "mid_ac": "mid_ac",
-    "mid_bc": "mid_bc",
-}
 
 
-def _parse_sets(raw, names, flags_cls):
+def _parse_sets(raw, flags_cls, names=None):
+    """The flags_cls object that the comma-separated set names in raw select;
+    names maps each accepted name to its field, by default the field names."""
+    names = names or {f: f for f in flags_cls.__dataclass_fields__}
     chosen = {}
     for token in raw.split(","):
         token = token.strip()
@@ -75,7 +72,7 @@ def _parse_sets(raw, names, flags_cls):
         chosen[names[token]] = True
     if not chosen:
         raise ValidationError("at least one set must be selected", field="--sets")
-    return flags_cls(**{f: chosen.get(f, False) for f in flags_cls.__dataclass_fields__})
+    return flags_cls(**chosen)
 
 
 def _parse_pair_list(raw, flag, count):
@@ -184,20 +181,20 @@ def _cmd_generate(args):
     if family == "triangular":
         config = _built_from("--side", gen_triangular, args.side)
     elif family == "lattice":
-        flags = _parse_sets(args.sets, _SUBSET_NAMES, SubsetFlags)
+        flags = _parse_sets(args.sets, SubsetFlags, _SUBSET_NAMES)
         v1, v2 = _parse_basis(args.basis)
         config = _built_from("--basis", gen_lattice, v1, v2, flags)
     elif family == "hexagonal":
-        flags = _parse_sets(args.sets, _SUBSET_NAMES, SubsetFlags)
+        flags = _parse_sets(args.sets, SubsetFlags, _SUBSET_NAMES)
         config = _built_from("--side", gen_hexagonal, args.side, flags)
     elif family == "line":
         config = _built_from("--spacing", gen_line, args.count, args.spacing)
     elif family == "sphere":
-        flags = _parse_sets(args.sets, _SUBSET_NAMES, SubsetFlags)
+        flags = _parse_sets(args.sets, SubsetFlags, _SUBSET_NAMES)
         config = gen_sphere(args.kind, flags)
         meta["kind"] = args.kind
     elif family == "triangle-group":
-        flags = _parse_sets(args.sets, _TG_NAMES, TriangleGroupFlags)
+        flags = _parse_sets(args.sets, TriangleGroupFlags)
         pqr = _parse_pair_list(args.pqr, "--pqr", 3)
         if not all(x.is_integer() for x in pqr):
             raise ValidationError(f"--pqr must be three integers, got {args.pqr!r}", field="--pqr")
@@ -206,7 +203,7 @@ def _cmd_generate(args):
         meta["pqr"] = args.pqr
         meta["depth"] = str(args.depth)
     elif family == "rotation-tiling":
-        flags = _parse_sets(args.sets, _RT_NAMES, RotationTilingFlags)
+        flags = _parse_sets(args.sets, RotationTilingFlags)
         a, b, g = (math.radians(x) for x in _parse_pair_list(args.angles, "--angles", 3))
         config = gen_hyp_rotation_tiling(
             RotationTilingParams(a, b, g, args.order, args.depth), flags

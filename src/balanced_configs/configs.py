@@ -556,6 +556,20 @@ def min_distance(c, tol=DEFAULT_TOL):
     return _closest_pair(c)[0]
 
 
+def _unit_distance(c, tol):
+    """min_distance(c, tol) as the unit of a cutoff or a search radius,
+    refused with NoPairsError, naming the pair, when two points coincide
+    within dedup_tol (periodic input cannot: its kernel drops such pairs)."""
+    d = min_distance(c, tol)
+    if d <= tol.dedup_tol:
+        _, p, q = _closest_pair(c)
+        raise NoPairsError(
+            f"points {p.tolist()} and {q.tolist()} coincide: their distance {d!r} "
+            f"is within dedup_tol {tol.dedup_tol!r}"
+        )
+    return d
+
+
 def points_within(c, base, radius, tol=DEFAULT_TOL):
     """All configuration points at distance <= radius + class_tol from base,
     excluding base itself.  Returned sorted by (distance, x, y)."""

@@ -10,7 +10,9 @@ class DegenerateDirectionError(ValueError):
 
 
 class NoPairsError(ValueError):
-    """A pairwise quantity was requested for a configuration with fewer than two points."""
+    """A pairwise quantity was requested for a configuration with fewer than
+    two distinct points: fewer than two points, or a minimal distance within
+    dedup_tol where it serves as a unit (two points coincide)."""
 
 
 class AmbiguousClassError(Exception):

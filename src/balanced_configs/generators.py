@@ -4,6 +4,12 @@ Planar families are returned as PeriodicConfig (lattice + motif), finite ones
 as FinitePointSet, hyperbolic tilings as PatchConfig windows whose
 patch_radius certifies completeness of the window.
 
+A flag-driven family is one tiling with a chosen subset of its point sets,
+which _select picks: the arrays of the set flags, stacked in field order and
+labelled vertex, edge_midpoint, face_center or by the field's own name
+(mid_ab, mid_ac, mid_bc).  The triangle group alone keeps its points in
+creation order, interleaved by vertex type, and selects them with a mask.
+
 Both hyperbolic families grow through one core, _grow, which expands tiles
 nearest-frontier-first until the in-radius of the tile union reaches a
 depth-proportional target, so the certified radius grows linearly with depth
@@ -52,34 +58,34 @@ _HASH_SCALE = 1.0 / _HASH_CELL
 _HASH_INNER = 0.5 - 2.0 * _DEDUP * _HASH_SCALE
 
 
+class _Flags:
+    """A flags dataclass: one bool per point set, at least one of them set."""
+
+    def __post_init__(self):
+        if not any(getattr(self, name) for name in self.__dataclass_fields__):
+            raise ParameterDomainError("at least one flag must be set")
+
+
 @dataclass(frozen=True)
-class SubsetFlags:
+class SubsetFlags(_Flags):
     """Selects which derived point sets of a tiling to emit."""
 
     vertices: bool = False
     edge_midpoints: bool = False
     face_centers: bool = False
 
-    def __post_init__(self):
-        if not (self.vertices or self.edge_midpoints or self.face_centers):
-            raise ParameterDomainError("at least one subset flag must be set")
-
 
 @dataclass(frozen=True)
-class TriangleGroupFlags:
+class TriangleGroupFlags(_Flags):
     """Selects which vertex-type orbits of a reflection tiling to emit."""
 
     p_centers: bool = False
     q_centers: bool = False
     r_centers: bool = False
 
-    def __post_init__(self):
-        if not (self.p_centers or self.q_centers or self.r_centers):
-            raise ParameterDomainError("at least one vertex-type flag must be set")
-
 
 @dataclass(frozen=True)
-class RotationTilingFlags:
+class RotationTilingFlags(_Flags):
     """Selects which point sets of a rotation tiling to emit."""
 
     vertices: bool = False
@@ -87,9 +93,10 @@ class RotationTilingFlags:
     mid_ac: bool = False
     mid_bc: bool = False
 
-    def __post_init__(self):
-        if not (self.vertices or self.mid_ab or self.mid_ac or self.mid_bc):
-            raise ParameterDomainError("at least one flag must be set")
+
+def _check_depth(depth):
+    if not isinstance(depth, int) or depth < 0:
+        raise ParameterDomainError("depth must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -104,8 +111,7 @@ class TriangleGroupParams:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 2:
                 raise ParameterDomainError(f"{name} must be an integer >= 2")
-        if not isinstance(self.depth, int) or self.depth < 0:
-            raise ParameterDomainError("depth must be a nonnegative integer")
+        _check_depth(self.depth)
 
 
 @dataclass(frozen=True)
@@ -119,12 +125,26 @@ class RotationTilingParams:
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 3:
             raise ParameterDomainError("m must be an integer >= 3")
-        if not isinstance(self.depth, int) or self.depth < 0:
-            raise ParameterDomainError("depth must be a nonnegative integer")
+        _check_depth(self.depth)
         if not all(a > 0.0 for a in (self.alpha, self.beta, self.gamma)):  # NaN fails too
             raise ParameterDomainError("all three angles must be positive")
         if abs(self.alpha + self.beta + self.gamma - 2.0 * math.pi / self.m) > 1e-12:
             raise ParameterDomainError("angles must sum to 2*pi/m")
+
+
+# the label of a point that a flag selects, where it is not the flag's name
+_LABELS = {"vertices": "vertex", "edge_midpoints": "edge_midpoint", "face_centers": "face_center"}
+
+
+def _select(flags, *sets):
+    """The point sets that flags select, given one array of points per flag
+    field in field order: the selected arrays stacked in that order, and one
+    label per row."""
+    chosen = [(name, pts) for name, pts in zip(flags.__dataclass_fields__, sets) if getattr(flags, name)]
+    labels = []
+    for name, pts in chosen:
+        labels += [_LABELS.get(name, name)] * len(pts)
+    return np.vstack([pts for _, pts in chosen]), tuple(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -138,18 +158,8 @@ def gen_lattice(v1, v2, flags):
     midpoints v1/2 and v2/2, and the cell center (v1+v2)/2, as selected.
     """
     basis = np.array([as_vec(v1, 2), as_vec(v2, 2)])
-    motif = []
-    labels = []
-    if flags.vertices:
-        motif.append((0.0, 0.0))
-        labels.append("vertex")
-    if flags.edge_midpoints:
-        motif += [(0.5, 0.0), (0.0, 0.5)]
-        labels += ["edge_midpoint", "edge_midpoint"]
-    if flags.face_centers:
-        motif.append((0.5, 0.5))
-        labels.append("face_center")
-    return PeriodicConfig(basis, np.array(motif), labels=tuple(labels))
+    motif, labels = _select(flags, [(0.0, 0.0)], [(0.5, 0.0), (0.0, 0.5)], [(0.5, 0.5)])
+    return PeriodicConfig(basis, motif, labels=labels)
 
 
 def gen_triangular(side):
@@ -172,18 +182,10 @@ def gen_hexagonal(side, flags):
     s = float(side)
     basis = np.array([[_SQRT3 * s, 0.0], [_SQRT3 * s / 2.0, 1.5 * s]])
     third = 1.0 / 3.0
-    motif = []
-    labels = []
-    if flags.vertices:
-        motif += [(third, third), (2 * third, 2 * third)]
-        labels += ["vertex", "vertex"]
-    if flags.edge_midpoints:
-        motif += [(0.5, 0.0), (0.0, 0.5), (0.5, 0.5)]
-        labels += ["edge_midpoint"] * 3
-    if flags.face_centers:
-        motif.append((0.0, 0.0))
-        labels.append("face_center")
-    return PeriodicConfig(basis, np.array(motif), labels=tuple(labels))
+    motif, labels = _select(
+        flags, [(third, third), (2 * third, 2 * third)], [(0.5, 0.0), (0.0, 0.5), (0.5, 0.5)], [(0.0, 0.0)]
+    )
+    return PeriodicConfig(basis, motif, labels=labels)
 
 
 def gen_line(n, spacing):
@@ -285,43 +287,29 @@ def gen_sphere(kind, flags, n=None):
     name, parsed_n = parse_sphere_kind(kind) if isinstance(kind, str) else (kind, None)
     if parsed_n is not None:
         n = parsed_n
-    pieces = []
-    labels = []
     if name == "ngon":
         if n is None or not isinstance(n, int) or n < 2:
             raise ParameterDomainError("ngon requires an integer vertex count n >= 2")
         angles = 2.0 * math.pi * np.arange(n) / n
-        ring = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(n)])
-        if flags.vertices:
-            pieces.append(ring)
-            labels += ["vertex"] * n
-        if flags.edge_midpoints:
-            shifted = angles + math.pi / n
-            pieces.append(np.column_stack([np.cos(shifted), np.sin(shifted), np.zeros(n)]))
-            labels += ["edge_midpoint"] * n
-        if flags.face_centers:
-            pieces.append(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
-            labels += ["face_center"] * 2
+        shifted = angles + math.pi / n
+        pts, labels = _select(
+            flags,
+            np.column_stack([np.cos(angles), np.sin(angles), np.zeros(n)]),
+            np.column_stack([np.cos(shifted), np.sin(shifted), np.zeros(n)]),
+            np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
+        )
     else:
         verts = _platonic_vertices(name)
-        if flags.vertices:
-            pieces.append(verts)
-            labels += ["vertex"] * len(verts)
-        if flags.edge_midpoints:
-            pairs = _platonic_edges(verts)
-            if len(pairs) != _EDGE_COUNTS[name]:
-                raise RuntimeError(f"edge detection for {name} found {len(pairs)} edges")
-            mids = np.array([verts[i] + verts[j] for i, j in pairs])
-            mids /= np.linalg.norm(mids, axis=1, keepdims=True)
-            pieces.append(mids)
-            labels += ["edge_midpoint"] * len(mids)
-        if flags.face_centers:
-            centers = _platonic_faces(name)
-            if len(centers) != _FACE_COUNTS[name]:
-                raise RuntimeError(f"face detection for {name} found {len(centers)} faces")
-            pieces.append(centers)
-            labels += ["face_center"] * len(centers)
-    return FinitePointSet("sphere", np.vstack(pieces), labels=tuple(labels))
+        pairs = _platonic_edges(verts)
+        if len(pairs) != _EDGE_COUNTS[name]:
+            raise RuntimeError(f"edge detection for {name} found {len(pairs)} edges")
+        mids = np.array([verts[i] + verts[j] for i, j in pairs])
+        mids /= np.linalg.norm(mids, axis=1, keepdims=True)
+        centers = _platonic_faces(name)
+        if len(centers) != _FACE_COUNTS[name]:
+            raise RuntimeError(f"face detection for {name} found {len(centers)} faces")
+        pts, labels = _select(flags, verts, mids, centers)
+    return FinitePointSet("sphere", pts, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -648,16 +636,8 @@ def gen_hyp_rotation_tiling(params, flags):
     verts, _, mids, mid_classes, patch_radius = _build_rotation_tiling(
         params.alpha, params.beta, params.gamma, params.m, params.depth
     )
-    pieces = [np.zeros((0, 2))]
-    labels = []
-    if flags.vertices:
-        pts, _ = _disk_rows(verts, True)
-        pieces.append(pts)
-        labels += ["vertex"] * len(pts)
     # an edge's class is the role of the vertex opposite it: ab is class 2
-    for k, wanted in ((2, flags.mid_ab), (1, flags.mid_ac), (0, flags.mid_bc)):
-        if wanted:
-            pts, _ = _disk_rows(mids, mid_classes == k)
-            pieces.append(pts)
-            labels += ["mid_" + ("bc", "ac", "ab")[k]] * len(pts)
-    return PatchConfig(np.vstack(pieces), patch_radius, labels=tuple(labels))
+    pts, labels = _select(
+        flags, _disk_rows(verts, True)[0], *(_disk_rows(mids, mid_classes == k)[0] for k in (2, 1, 0))
+    )
+    return PatchConfig(pts, patch_radius, labels=labels)

@@ -37,6 +37,7 @@ from .configs import (
     _neighbors,
     _pair_dists,
     _row_dots,
+    _unit_distance,
     min_distance,
 )
 from .errors import InsufficientPatchError, NoPairsError, ParameterDomainError
@@ -184,7 +185,7 @@ def verify_plane(c, params=VerifyParams()):
     tol = params.tol
     if c.space != "plane":
         raise ValueError("verify_plane requires a PeriodicConfig or a planar FinitePointSet")
-    cutoff = params.max_radius * min_distance(c, tol)
+    cutoff = params.max_radius * _unit_distance(c, tol)
     bases = _base_points_for(c, cutoff, tol)
     if isinstance(c, PeriodicConfig):
         note = "verified motif representatives; translation covers the rest"
@@ -218,7 +219,7 @@ def verify_sphere(c, params=VerifyParams(), mode="scalar_multiple"):
     if mode not in _SPHERE_RESIDUALS:
         raise ValueError(f"unknown mode {mode!r}")
     tol = params.tol
-    cutoff = params.max_radius * min_distance(c, tol)
+    cutoff = params.max_radius * _unit_distance(c, tol)
     return _balance(c, c.points, cutoff, tol, _SPHERE_RESIDUALS[mode], f"mode: {mode}")
 
 
@@ -254,7 +255,7 @@ def verify_hyperbolic(c, params=VerifyParams()):
 def max_neighbor_count(c, params=VerifyParams()):
     """Largest number of minimal-distance neighbors over the verified points."""
     tol = params.tol
-    min_d = min_distance(c, tol)
+    min_d = _unit_distance(c, tol)
     reach = min_d + tol.class_tol if c.space == "disk" else params.max_radius * min_d
     bases = _base_points_for(c, reach, tol)
     return int(_min_neighbor_counts(c, bases, min_d, tol).max(initial=0))

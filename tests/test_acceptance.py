@@ -17,6 +17,7 @@ from balanced_configs.classify import (
     LATTICE,
     LATTICE_WITH_MIDPOINTS,
     TRIANGULAR_LATTICE,
+    UNKNOWN,
     classify,
     is_group_balanced,
     regenerate,
@@ -338,6 +339,47 @@ def _nearest_config_dist(config, pts):
                 d = np.linalg.norm((rem + np.array([di, dj])) @ config.basis, axis=1)
                 best = np.minimum(best, d)
     return best
+
+
+_SWEEP_LATTICES = {
+    "square": ((1.0, 0.0), (0.0, 1.0)),
+    "hexagonal": ((1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)),
+    "rectangle": ((1.0, 0.0), (0.0, 1.7)),
+    "oblique": ((1.0, 0.0), (0.3, 1.3)),
+}
+
+
+class TestPlanarClaimSweep:
+    """The paper's planar claim on input no generator made: a periodic
+    configuration is balanced exactly when it is one of the six periodic
+    families, and exactly when it is group-balanced."""
+
+    def test_quarter_grid_motifs(self):
+        # motif[0] at the origin plus at most two of the 15 nonzero points of
+        # the (1/4)Z^2 fractional grid, on four lattices: 4 x 121 inputs
+        grid = [(i / 4.0, j / 4.0) for i in range(4) for j in range(4)][1:]
+        subsets = [s for k in range(3) for s in itertools.combinations(grid, k)]
+        periodic_tags = {
+            TRIANGULAR_LATTICE,
+            LATTICE,
+            LATTICE_WITH_MIDPOINTS,
+            HEX_VERTICES,
+            HEX_WITH_MIDPOINTS,
+            HEX_WITH_MIDPOINTS_AND_CENTERS,
+        }
+        start = time.perf_counter()
+        tags = Counter()
+        for name, basis in _SWEEP_LATTICES.items():
+            for extra in subsets:
+                c = PeriodicConfig(np.array(basis), np.array([(0.0, 0.0), *extra]))
+                balanced = verify_plane(c).passed
+                tag = classify(c).tag
+                assert (tag != UNKNOWN) == balanced == is_group_balanced(c).verdict, (name, extra)
+                assert tag in periodic_tags or not balanced, (name, extra)
+                tags[tag] += 1
+        elapsed = time.perf_counter() - start
+        assert tags == {UNKNOWN: 456, LATTICE: 15, LATTICE_WITH_MIDPOINTS: 12, TRIANGULAR_LATTICE: 1}
+        assert elapsed < 2.0, f"planar sweep took {elapsed:.2f}s"
 
 
 class TestGroupBalanceSuite:

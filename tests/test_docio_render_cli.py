@@ -5,6 +5,8 @@ import importlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -55,6 +57,18 @@ _RIM_DOCS = {
     "huge": dict(_THIN_BASIS, basis=[[1e200, 0.0], [0.0, 1e200]]),
     "skinny": dict(_THIN_BASIS, basis=[[1.0, 0.0], [1.0, 1e-9]]),
     "far": {"space": "euclidean2", "kind": "finite", "points": [[0.0, 0.0], [1e200, 0.0], [2e200, 0.0]]},
+}
+# finite sets with a repeated point, whose minimal distance is 0: the 3 x 3
+# grid with (0, 0) twice and three times, and the octahedron with (1, 0, 0) twice
+_GRID = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1], [0, 2], [1, 2], [2, 2]]
+_REPEATED_DOCS = {
+    "repeated": {"space": "euclidean2", "kind": "finite", "points": [[0, 0]] + _GRID},
+    "tripled": {"space": "euclidean2", "kind": "finite", "points": [[0, 0], [0, 0]] + _GRID},
+    "sphere_repeated": {
+        "space": "sphere2",
+        "kind": "finite",
+        "points": [[1, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+    },
 }
 
 
@@ -1023,6 +1037,12 @@ class TestCli:
             (["generate", "--family", "line", "--spacing", "1e200"], "--spacing: plane points must have coordinates within +-1e100"),
             (["verify", "{tmp}/far.json"], "points[1] must have coordinates within +-1e100"),
             (["classify", "{tmp}/far.json"], "points[1] must have coordinates within +-1e100"),
+            # a repeated point: a minimal distance of 0 is no unit for a cutoff
+            (["verify", "{tmp}/repeated.json"], "points [0.0, 0.0] and [0.0, 0.0] coincide"),
+            (["symmetry", "{tmp}/repeated.json"], "points [0.0, 0.0] and [0.0, 0.0] coincide"),
+            (["verify", "{tmp}/tripled.json"], "points [0.0, 0.0] and [0.0, 0.0] coincide"),
+            (["symmetry", "{tmp}/tripled.json"], "points [0.0, 0.0] and [0.0, 0.0] coincide"),
+            (["verify", "{tmp}/sphere_repeated.json"], "points [1.0, 0.0, 0.0] and [1.0, 0.0, 0.0] coincide"),
         ],
     )
     def test_typed_refusals_exit_two(self, capsys, tmp_path, argv, message):
@@ -1042,11 +1062,26 @@ class TestCli:
             json.dumps({"space": "euclidean2", "kind": "periodic", "basis": [[1, 0], [0, 1]], "motif": [[0, 0], [1, 0]]})
         )
         (tmp_path / "thin.json").write_text(json.dumps(_THIN_BASIS))
-        for name, raw in _RIM_DOCS.items():
+        for name, raw in {**_RIM_DOCS, **_REPEATED_DOCS}.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(raw))
         code, out, err = _run(capsys, [a.format(tmp=tmp_path) for a in argv])
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
+
+    def test_symmetry_of_a_repeated_point_returns(self, tmp_path):
+        # the rotation search once doubled a search radius of 0 forever
+        doc = tmp_path / "repeated.json"
+        doc.write_text(json.dumps(_REPEATED_DOCS["repeated"]))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "balanced_configs", "symmetry", str(doc)],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "coincide" in proc.stderr
 
     def test_small_lattice_above_the_length_floor_is_measured(self, capsys, tmp_path):
         # rows of 1e-3, where the default class_tol still separates the
@@ -1066,8 +1101,8 @@ class TestCli:
             (lambda: cli._parse_pair_list("1,x", "--angles", 2), "--angles"),
             (lambda: cli._parse_basis("1,0"), "--basis"),
             (lambda: cli._parse_basis("1,0;0,y"), "--basis"),
-            (lambda: cli._parse_sets("faces", cli._TG_NAMES, TriangleGroupFlags), "--sets"),
-            (lambda: cli._parse_sets(" , ", cli._TG_NAMES, TriangleGroupFlags), "--sets"),
+            (lambda: cli._parse_sets("faces", TriangleGroupFlags), "--sets"),
+            (lambda: cli._parse_sets(" , ", TriangleGroupFlags), "--sets"),
             (lambda: cli._cmd_lemmas(build_parser().parse_args(["lemmas", "--samples", "99"])), "--samples"),
         ]
         for call, flag in cases:

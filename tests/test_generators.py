@@ -431,6 +431,41 @@ class TestGoldenDocuments:
         assert config.n == n
         assert self._sha(config) == sha
 
+    # the point-set selection of the flag-driven families: set order and labels
+    @pytest.mark.parametrize(
+        "build, n, sha",
+        [
+            (
+                lambda: gen_lattice((1.0, 0.0), (0.3, 1.3), SubsetFlags(True, True, False)),
+                3,
+                "21aed6038006811bbab047ba78f57f011bed4d6e0684795c65e831d4e896b0f9",
+            ),
+            (
+                lambda: gen_hexagonal(1.0, SubsetFlags(True, True, True)),
+                6,
+                "2e058abc1dc6819ab632b0f1e767499d053c8fd756cef93f45fb9624fb5057ac",
+            ),
+            (
+                lambda: gen_sphere("icosahedron", SubsetFlags(True, True, True)),
+                62,
+                "4ce8790ba81f4c306c63406e55115d4dedb17bb89ee86e59bd427280e737ac75",
+            ),
+            (
+                lambda: gen_hyp_rotation_tiling(
+                    RotationTilingParams(math.radians(30), math.radians(40), math.radians(50), 3, 4),
+                    RotationTilingFlags(mid_ac=True),
+                ),
+                975,
+                "6f4e666f4b87b06efaf99d8c24097f465a836704b46b3bae803e0f8ec11fd8a1",
+            ),
+        ],
+        ids=["lattice-vertices-midpoints", "hexagonal-all-sets", "icosahedron-all-sets", "rotation-tiling-mid-ac"],
+    )
+    def test_selected_sets(self, build, n, sha):
+        config = build()
+        assert len(config.labels) == n
+        assert self._sha(config) == sha
+
 
 class TestGrowthChecks:
     """The growth core checks that every tile, edge and midpoint it reaches

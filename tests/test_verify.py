@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import balanced_configs
+from balanced_configs.classify import is_group_balanced, rotation_symmetries_about
 from balanced_configs.cli import main
 from balanced_configs.docio import document_from, serialize
 from balanced_configs.configs import (
@@ -471,6 +472,42 @@ class TestNeighborCounts:
         )
         count = max_neighbor_count(c)
         assert count >= 1
+
+
+class TestCoincidentPoints:
+    """A minimal distance within dedup_tol is refused wherever it serves as
+    the unit of a cutoff or a search radius; min_distance itself reports it."""
+
+    _GRID = [(x, y) for y in range(3) for x in range(3)]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            FinitePointSet("plane", np.array([(0.0, 0.0)] + _GRID)),
+            FinitePointSet("plane", np.array([(0.0, 0.0), (0.0, 0.0)] + _GRID)),
+            FinitePointSet("plane", np.array([(5e-10, 0.0)] + _GRID)),
+            FinitePointSet("sphere", np.vstack([[1.0, 0.0, 0.0], np.vstack([np.eye(3), -np.eye(3)])])),
+            FinitePointSet("disk", np.array([(0.1, 0.0), (0.1, 0.0), (0.5, 0.0), (0.0, 0.4)])),
+        ],
+        ids=["repeated", "tripled", "within-dedup", "sphere", "disk"],
+    )
+    def test_unit_callers_refuse(self, config):
+        assert min_distance(config) <= DEFAULT_TOL.dedup_tol
+        calls = [max_neighbor_count]
+        if config.space == "plane":
+            calls += [verify_plane, is_group_balanced, lambda c: rotation_symmetries_about(c, c.points[0])]
+        if config.space == "sphere":
+            calls += [verify_sphere]
+        for call in calls:
+            with pytest.raises(NoPairsError, match="coincide"):
+                call(config)
+
+    def test_points_above_dedup_tol_are_measured(self):
+        c = FinitePointSet("plane", np.array([(3e-9, 0.0)] + self._GRID))
+        assert min_distance(c) == pytest.approx(3e-9, rel=1e-6)
+        report = verify_plane(c)
+        assert report.cutoff == pytest.approx(6.0 * 3e-9, rel=1e-6)
+        assert max_neighbor_count(c) == 1
 
 
 class TestMinDistanceProperty:
