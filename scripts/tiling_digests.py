@@ -1,6 +1,7 @@
 """Byte digests of a fixed grid of generator builds.
 
     PYTHONPATH=src python3 scripts/tiling_digests.py > digests.txt
+    PYTHONPATH=src python3 scripts/tiling_digests.py --against digests.txt
 
 Prints one line per build: the family, its parameters, then the point count,
 the sha256 of the serialized document and, where the line has one, the
@@ -20,14 +21,20 @@ raised.
 
 Two commits that print the same lines build the same bytes, so a builder
 change that must keep its output (same arithmetic, same heap order, same
-selection order) is checked by diffing this script's output before and
-after it; the SVG digests do the same for a change to the renderer.
+selection order) is checked by comparing this script's output before and
+after it; the SVG digests do the same for a change to the renderer.  With
+``--against FILE`` the script prints only the lines that differ from a
+saved run, as a unified diff with no context (``-`` saved, ``+`` now), and
+exits 1 on any difference, 0 when every line matches.
 """
 from __future__ import annotations
 
+import argparse
+import difflib
 import hashlib
 import itertools
 import math
+import sys
 
 from balanced_configs.docio import document_from, serialize
 from balanced_configs.generators import (
@@ -111,16 +118,17 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def main():
+def _lines():
+    """The output lines, one per build, in order."""
     for name, build in _builds():
         try:
             config = build()
         except Exception as exc:
-            print(name, type(exc).__name__, flush=True)
+            yield f"{name} {type(exc).__name__}"
         else:
             sha = _sha(serialize(document_from(config)))
             svg = _sha(render_svg(config))
-            print(name, config.n, config.patch_radius.hex(), sha, svg, flush=True)
+            yield f"{name} {config.n} {config.patch_radius.hex()} {sha} {svg}"
         # each build is cached; drop it so memory stays at one build
         _build_triangle_group.cache_clear()
         _build_rotation_tiling.cache_clear()
@@ -128,13 +136,30 @@ def main():
         try:
             config = build()
         except Exception as exc:
-            print(name, type(exc).__name__, flush=True)
+            yield f"{name} {type(exc).__name__}"
         else:
             line = [name, len(config.labels), _sha(serialize(document_from(config)))]
             if style is not None:
                 line.append(_sha(render_svg(config, style)))
-            print(*line, flush=True)
+            yield " ".join(map(str, line))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Byte digests of a fixed grid of generator builds.")
+    parser.add_argument("--against", metavar="FILE", help="print only the lines that differ from a saved run")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        for line in _lines():
+            print(line, flush=True)
+        return 0
+    with open(args.against) as f:
+        saved = f.read().splitlines()
+    diff = list(difflib.unified_diff(saved, list(_lines()), args.against, "now", n=0, lineterm=""))
+    for line in diff:
+        print(line)
+    print(f"{len(saved)} saved lines: {'they differ' if diff else 'all the same'}", file=sys.stderr)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -40,7 +40,7 @@ from .configs import (
     points_within,
     primitive_periods,
 )
-from .errors import AmbiguousClassError
+from .errors import AmbiguousClassError, InsufficientPatchError
 from .geometry import DEFAULT_TOL
 
 TRIANGULAR_LATTICE = "TriangularLattice"
@@ -161,7 +161,8 @@ def is_group_balanced(c, tol=DEFAULT_TOL):
     For periodic input the motif representatives are checked; for a finite
     planar window, only points far enough from the boundary that their
     validation window lies inside the set.  Each witness is the smallest
-    validated angle.
+    validated angle.  A window in which no point qualifies raises
+    InsufficientPatchError rather than pass with no witness.
     """
     if c.space != "plane":
         raise ValueError("group-balance detection requires planar input")
@@ -169,6 +170,10 @@ def is_group_balanced(c, tol=DEFAULT_TOL):
     # a window point needs its validation window inside the set; motif
     # representatives need none, and _base_points_for ignores the reach
     bases = _base_points_for(c, 4.0 * min_d + min_d, tol)
+    if len(bases) == 0:
+        raise InsufficientPatchError(
+            f"no point of the window has its validation window of radius {4.0 * min_d:.6g} inside the window"
+        )
     witnesses = tuple(
         SymmetryWitness(center=tuple(p), angle=angles[0]) if angles else None
         for p, angles in zip(bases, _rotation_angles(c, bases, min_d, tol))

@@ -33,7 +33,9 @@ point; its minimal distance is one query bounded by the nearest cell
 translates of the motif pairs.
 Finite sets and patches query a polar index (``_PolarIndex``: radial bands
 sorted by angle) cached on the container, filtered by the container's
-metric (``hyperbolic._dist`` on the disk).  Everything here is numpy only.
+metric (``hyperbolic._dist`` on the disk).  Every Euclidean distance here,
+chordal on the sphere, is one row-norm kernel, ``geometry.row_norms``, of
+the differences.  Everything here is numpy only.
 """
 from __future__ import annotations
 
@@ -45,7 +47,16 @@ import numpy as np
 
 from . import hyperbolic
 from .errors import AmbiguousClassError, InvalidPointError, NoPairsError, ParameterDomainError
-from .geometry import DEFAULT_TOL, as_complex, as_vec, basis_defect, in_open_disk, lagrange_reduce, points_admitted
+from .geometry import (
+    DEFAULT_TOL,
+    as_complex,
+    as_vec,
+    basis_defect,
+    in_open_disk,
+    lagrange_reduce,
+    points_admitted,
+    row_norms,
+)
 
 _SPACES = ("plane", "sphere", "disk")
 # what the points of each space must do, by geometry.points_admitted
@@ -222,7 +233,7 @@ def _motif_gap(c, above=-1.0):
         pair = np.arange(s, min(s + block, pairs))
         i = np.searchsorted(first, pair, side="right") - 1
         delta = cart[pair - first[i] + i + 1] - cart[i]
-        gaps = np.linalg.norm(delta[:, None, :] + shifts, axis=2).min(axis=1)
+        gaps = row_norms(delta[:, None, :] + shifts).min(axis=1)
         best = min(best, float(gaps[gaps > above].min(initial=np.inf)))
     return best
 
@@ -360,7 +371,7 @@ def _pair_dists(space, a, b):
     distance otherwise."""
     if space == "disk":
         return hyperbolic._dist(as_complex(a), as_complex(b))
-    return np.linalg.norm(b - a, axis=-1)
+    return row_norms(b - a)
 
 
 # elements per chunk on the periodic path (candidate translates of a block of
@@ -382,15 +393,16 @@ def _translate_steps(basis, radius):
     """
     inv = np.linalg.inv(basis)
     # Python floats, which pass the float range to inf without a warning
-    span = [radius * n + 1.0 for n in np.linalg.norm(inv, axis=0).tolist()]
+    span = [radius * n + 1.0 for n in row_norms(inv.T).tolist()]
     w0, w1 = 2.0 * span[0], 2.0 * span[1]
     # per axis, so that the product cannot overflow; NaN is refused too
     if not w0 + 1.0 <= _MAX_TRANSLATES / (w1 + 1.0):
         raise ParameterDomainError(
             f"a lattice query of radius {radius:.6g} spans more than 2**31 translates per point"
         )
-    axes = np.arange(int(w0) + 1), np.arange(int(w1) + 1)
-    return inv, np.array(span), np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 2)
+    # copied to C order: the kernel's translate matmul then takes the
+    # row-major BLAS path, whose bits the golden reports pin
+    return inv, np.array(span), np.indices((int(w0) + 1, int(w1) + 1)).reshape(2, -1).T.copy()
 
 
 def _neighbors(c, bases, reach, dedup_tol):
@@ -423,7 +435,7 @@ def _neighbors(c, bases, reach, dedup_tol):
             lo = np.ceil(-delta @ inv - span)[:, :, None, :]
             for t in range(0, len(steps), step_chunk):
                 vec = delta[:, :, None, :] + (lo + steps[t : t + step_chunk]) @ c.basis
-                d = np.linalg.norm(vec, axis=-1)
+                d = row_norms(vec)
                 hit = np.nonzero((d <= reach) & (d > dedup_tol))
                 found.append((s + hit[0], block[hit[0]] + vec[hit], d[hit]))
         owner, pts, d = (np.concatenate(parts) for parts in zip(*found))
@@ -474,8 +486,10 @@ def _row_dots(a, b):
     """Dot product of each row of a with the matching row of b (broadcast).
 
     Each row is one stacked 1-D matmul, the dot product that a[i] @ b[i] and
-    np.linalg.norm take, so results are bit-identical to a per-row loop; a
-    row sum of a * b may round differently.
+    a 1-D np.linalg.norm take, so results are bit-identical to a per-row
+    loop; a row sum of a * b may round differently.  So sqrt(_row_dots(x, x))
+    is not the rounding of np.linalg.norm(x, axis=-1): row norms are taken
+    by geometry.row_norms, the kernel of every planar and chordal distance.
     """
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
@@ -610,11 +624,11 @@ def contains_many(c, pts, tol=DEFAULT_TOL):
         for s in range(0, len(frac), chunk):
             delta = frac[s : s + chunk, None, :] - c.motif
             delta = (delta - np.round(delta)) @ c.basis
-            hits.append((np.linalg.norm(delta, axis=-1) <= tol.dedup_tol).any(axis=1))
+            hits.append((row_norms(delta) <= tol.dedup_tol).any(axis=1))
         return np.concatenate(hits)
     index = _index(c)
     owner, idx = index.ball(pts, np.full(len(pts), tol.dedup_tol))
-    near = np.linalg.norm(index.points[idx] - pts[owner], axis=1) <= tol.dedup_tol
+    near = row_norms(index.points[idx] - pts[owner]) <= tol.dedup_tol
     return np.bincount(owner[near], minlength=len(pts)) > 0
 
 
@@ -735,8 +749,9 @@ def primitive_periods(c, tol=DEFAULT_TOL):
         # differences motif[j] - motif[i], i != j, in (i, j) order; the first
         # of each to 1e-9 modulo the lattice, shortest first
         diffs = np.mod(cur.motif[None, :, :] - cur.motif[:, None, :], 1.0)[~np.eye(cur.k, dtype=bool)]
-        keys = np.round(diffs * 1e9).astype(int) % int(1e9)
-        cands = diffs[np.sort(np.unique(keys, axis=0, return_index=True)[1])]
+        keys = np.round(diffs * 1e9).astype(np.int64) % 10**9
+        keys = keys[:, 0] * 10**9 + keys[:, 1]  # one key per difference, below 10**18
+        cands = diffs[np.sort(np.unique(keys, return_index=True)[1])]
         t = (cands[:, None, :] @ cur.basis)[:, 0]
         length = np.sqrt(_row_dots(t, t))
         order = np.argsort(length, kind="stable")
@@ -768,5 +783,5 @@ def _dedup_fracs(frac, basis, tol):
     """Rows of frac, less each one within dedup_tol of an earlier row modulo
     the lattice (the rounded fractional difference is the nearest translate)."""
     delta = frac[:, None, :] - frac[None, :, :]
-    near = np.linalg.norm((delta - np.round(delta)) @ basis, axis=-1) <= tol.dedup_tol
+    near = row_norms((delta - np.round(delta)) @ basis) <= tol.dedup_tol
     return frac[~np.tril(near, -1).any(axis=1)]

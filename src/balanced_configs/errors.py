@@ -20,7 +20,8 @@ class AmbiguousClassError(Exception):
 
 
 class InsufficientPatchError(Exception):
-    """A hyperbolic patch is too shallow to verify any point at the requested radius."""
+    """A hyperbolic patch or a finite window is too small to verify any point at
+    the requested radius."""
 
 
 class ParameterDomainError(ValueError):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .configs import FinitePointSet, PatchConfig, PeriodicConfig
 from .errors import DegenerateDirectionError, InvalidPointError, ParameterDomainError
-from .geometry import as_vec, in_open_disk
+from .geometry import as_vec, in_open_disk, row_norms
 from .hyperbolic import (
     _half_turn,
     _midpoint,
@@ -226,7 +226,7 @@ def _platonic_vertices(kind):
     else:
         raise ParameterDomainError(f"unknown sphere tiling kind {kind!r}")
     pts = np.array(raw, dtype=float)
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    return pts / row_norms(pts)[:, None]
 
 
 _EDGE_COUNTS = {"tetrahedron": 6, "cube": 12, "octahedron": 12, "dodecahedron": 30, "icosahedron": 30}
@@ -234,7 +234,7 @@ _FACE_COUNTS = {"tetrahedron": 4, "cube": 6, "octahedron": 8, "dodecahedron": 12
 
 
 def _platonic_edges(verts):
-    d = np.linalg.norm(verts[:, None, :] - verts[None, :, :], axis=2)
+    d = row_norms(verts[:, None, :] - verts[None, :, :])
     iu = np.triu_indices(len(verts), k=1)
     dmin = d[iu].min()
     pairs = [(i, j) for i, j in zip(*iu) if d[i, j] <= dmin + 1e-9]
@@ -304,7 +304,7 @@ def gen_sphere(kind, flags, n=None):
         if len(pairs) != _EDGE_COUNTS[name]:
             raise RuntimeError(f"edge detection for {name} found {len(pairs)} edges")
         mids = np.array([verts[i] + verts[j] for i, j in pairs])
-        mids /= np.linalg.norm(mids, axis=1, keepdims=True)
+        mids /= row_norms(mids)[:, None]
         centers = _platonic_faces(name)
         if len(centers) != _FACE_COUNTS[name]:
             raise RuntimeError(f"face detection for {name} found {len(centers)} faces")

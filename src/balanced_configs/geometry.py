@@ -1,9 +1,11 @@
-"""Tolerance policy, point coercion, and the one predicate of each geometric
-check, which the parser, the containers and the builders share.
+"""Tolerance policy, point coercion, the one predicate of each geometric
+check, which the parser, the containers and the builders share, and the one
+Euclidean row-norm kernel, ``row_norms``.
 
-The plane and chordal sphere distances live in the neighbour kernel of
-``configs``, the sphere's tangent projection in ``verify.verify_sphere``,
-and the Poincare disk maps in ``hyperbolic``.
+The plane and chordal sphere distances are ``row_norms`` of differences,
+taken in the neighbour kernel of ``configs``; the sphere's tangent
+projection lives in ``verify.verify_sphere``, and the Poincare disk maps in
+``hyperbolic``.
 """
 from __future__ import annotations
 
@@ -53,6 +55,23 @@ def as_complex(xy):
     return np.ascontiguousarray(xy, dtype=float).view(np.complex128)[..., 0]
 
 
+def row_norms(x):
+    """Euclidean norm along the last axis of x, which has 2 or 3 columns.
+
+    The squared columns are added left to right and the square root taken:
+    the bits of np.linalg.norm(x, axis=-1), with a RuntimeWarning wherever
+    it overflows, several times faster on a short axis.  Every row norm of
+    the plane and of the sphere's chordal metric is taken here; a 1-D
+    vector's length (np.linalg.norm(v), a dot product) may round
+    differently.
+    """
+    x = np.asarray(x, dtype=float)
+    total = x[..., 0] * x[..., 0]
+    for j in range(1, x.shape[-1]):
+        total += x[..., j] * x[..., j]
+    return np.sqrt(total)
+
+
 def in_open_disk(z):
     """Whether each complex z has np.abs(z) < 1, the |z| that hyperbolic._dist
     divides by (math.hypot and Python's abs can round it one ulp lower)."""
@@ -68,7 +87,7 @@ def points_admitted(space, pts):
         return in_open_disk(as_complex(pts))
     if space == "sphere":
         with np.errstate(over="ignore"):  # a square past the float range is inf, and fails
-            return np.abs(np.linalg.norm(pts, axis=-1) - 1.0) <= 1e-9
+            return np.abs(row_norms(pts) - 1.0) <= 1e-9
     return np.all(np.abs(pts) <= 1e100, axis=-1)
 
 

@@ -181,12 +181,20 @@ def _displacement(bases, owner, pts, starts, sizes):
 
 def verify_plane(c, params=VerifyParams()):
     """Check that, at every verified point, each distance class up to the
-    cutoff has displacement vectors summing to zero."""
+    cutoff has displacement vectors summing to zero.
+
+    A finite window in which no point has its whole cutoff-ball inside the
+    window verifies nothing, and raises InsufficientPatchError.
+    """
     tol = params.tol
     if c.space != "plane":
         raise ValueError("verify_plane requires a PeriodicConfig or a planar FinitePointSet")
     cutoff = params.max_radius * _unit_distance(c, tol)
     bases = _base_points_for(c, cutoff, tol)
+    if len(bases) == 0:
+        raise InsufficientPatchError(
+            f"no point of the window has its neighborhood out to the cutoff {cutoff:.6g} inside the window"
+        )
     if isinstance(c, PeriodicConfig):
         note = "verified motif representatives; translation covers the rest"
     else:
@@ -278,12 +286,12 @@ def check_min_distance_property(c, window=None, tol=DEFAULT_TOL):
     if window is not None:
         pts = c.points
         if c.space == "disk":
-            keep = _pair_dists("disk", np.zeros(2), pts) <= window
+            center = np.zeros(2)
         else:
             center = pts.mean(axis=0)
             if c.space == "sphere":
                 center /= np.linalg.norm(center) if np.linalg.norm(center) > 0 else 1.0
-            keep = np.linalg.norm(pts - center, axis=1) <= window
+        keep = _pair_dists(c.space, center, pts) <= window
         excluded = bool((~keep).any())
         if excluded:
             c = FinitePointSet(c.space, pts[keep])

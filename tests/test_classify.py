@@ -42,7 +42,7 @@ from balanced_configs.configs import (
     primitive_periods,
 )
 from balanced_configs.docio import document_from, serialize
-from balanced_configs.errors import ParameterDomainError
+from balanced_configs.errors import InsufficientPatchError, ParameterDomainError
 from balanced_configs.generators import (
     SubsetFlags,
     gen_hexagonal,
@@ -120,6 +120,15 @@ class TestGroupBalance:
         result = is_group_balanced(gen_line(15, 1.0))
         assert result.verdict
         assert all(w.angle == pytest.approx(math.pi) for w in result.witnesses)
+
+    @pytest.mark.parametrize(
+        "points", [[(0.0, 0.0), (1.0, 0.0), (0.0, 3.0), (5.0, 7.0)], [(float(i), 0.0) for i in range(9)]]
+    )
+    def test_window_without_a_checkable_point_is_refused(self, points):
+        # no point has its validation window inside the set: no witness is
+        # no verdict, not a vacuous pass
+        with pytest.raises(InsufficientPatchError, match="no point of the window"):
+            is_group_balanced(FinitePointSet("plane", points))
 
     def test_rejects_non_planar(self):
         with pytest.raises(ValueError):
@@ -583,7 +592,9 @@ class TestGoldenClassifyReports:
         ("symmetry", "hex-vertices"): (0, "736904fe37c113283533b68732f524353c5f45389e6adec122f1d6c6e963ba81"),
         ("symmetry", "hex-midpoints"): (0, "63520d8854a4bfc565ea72085db185d3bb9effb5184b5a0cbb80764f578ef5c9"),
         ("symmetry", "hex-midpoints-centers"): (0, "ca245c3160a6b62297838c9487f4b10d6d92ab4189dc512eed0d420743893853"),
-        ("symmetry", "line"): (0, "e0a7529638fee5ce707a038003ab30fcc564c3db69960a390d218693fa033073"),
+        # no point of the 9-point line has its validation window inside it:
+        # refused, exit 2 with nothing on stdout
+        ("symmetry", "line"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ("symmetry", "off-centre"): (1, "e0724b1d53d2f6f210b739a950398c45f966602be7a273881f2ae7ac88231dff"),
     }
 

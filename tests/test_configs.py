@@ -2,6 +2,7 @@
 translate-scan oracles built independently of the library's lattice
 reduction."""
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from balanced_configs import configs
+from balanced_configs.classify import classify, is_group_balanced, regenerate
 from balanced_configs.configs import (
     FinitePointSet,
     PatchConfig,
@@ -410,6 +412,29 @@ class TestBoundedPeriodicQueries:
         ref = _reference_primitive_periods(PeriodicConfig(c.basis, c.motif), _TOLERANCES[2])
         assert (got.basis.tobytes(), got.motif.tobytes()) == (ref.basis.tobytes(), ref.motif.tobytes())
 
+    # keys round to the 10**9 wrap: 0.9999999996 and 4e-10 share the key of 0
+    # (a 1e4 cell keeps those points 4e-6 apart); differences repeated along
+    # a row and across a supercell; and the period (0, 0.5) after (5e-9, 0),
+    # whose keys a narrower key, k0 * 10**8 + k1, would merge
+    KEYED_MOTIFS = (
+        ([[1e4, 0.0], [0.0, 1e4]], [(0.0, 0.0), (5e-9, 0.0), (0.0, 0.5), (5e-9, 0.5)]),
+        ([[1e4, 0.0], [0.0, 1e4]], [(0.0, 0.0), (0.9999999996, 0.0), (0.5, 0.9999999996), (0.5, 4e-10)]),
+        ([[1e4, 0.0], [3.0, 1e4]], [(0.0, 0.0), (0.9999999996, 0.9999999996), (0.25, 0.5), (0.2500000004, 0.0)]),
+        ([[1e4, 0.0], [0.0, 1e4]], [(0.0, 0.0), (0.9999999995, 0.5), (0.5, 0.0), (0.4999999995, 0.5)]),
+        ([[1.0, 0.0], [0.3, 1.1]], [(0.0, 0.0), (0.2, 0.1), (0.4, 0.2), (0.6, 0.3)]),
+        ([[1.0, 0.0], [0.0, 1.0]], [(0.0, 0.0), (0.25, 0.0), (0.5, 0.0), (0.75, 0.0)]),
+        ([[1.0, 0.2], [-0.3, 0.9]], [(0.0, 0.0), (0.5, 0.5), (0.5, 0.0), (0.0, 0.5)]),
+    )
+
+    @pytest.mark.parametrize("basis, motif", KEYED_MOTIFS)
+    @pytest.mark.parametrize("cells", [(1, 1), (2, 1), (2, 3)])
+    def test_period_keys_at_the_wrap_and_repeated(self, basis, motif, cells):
+        c = PeriodicConfig(basis, motif).supercell(*cells)
+        for tol in _TOLERANCES:
+            got = primitive_periods(c, tol)
+            ref = _reference_primitive_periods(PeriodicConfig(c.basis, c.motif), tol)
+            assert (got.basis.tobytes(), got.motif.tobytes()) == (ref.basis.tobytes(), ref.motif.tobytes())
+
     def test_bound_is_padded_for_rounding(self):
         # at scale 1e8 one ulp of |v1| exceeds the fine class_tol, and the
         # kernel's |v1| can round one ulp above the bound's: the query must
@@ -440,6 +465,27 @@ class TestBoundedPeriodicQueries:
 def _report_columns(c, radius):
     report = verify_plane(c, VerifyParams(max_radius=radius))
     return [getattr(report, f).tobytes() for f in ("bases", "class_owner", "distance", "size", "residual", "residual_norm")]
+
+
+class TestPlanarWorkloadOutputs:
+    """What the planar benchmark workload computes on each configuration,
+    on the 24 family configurations: the verify_plane report columns, the
+    classification and the bytes of its rebuild, and the group-balance
+    result, pinned by one sha256."""
+
+    SHA256 = "74653e50fe55d70e7b471365312cb845208a5fe8b23a2f1b254c9c02fbc00054"
+
+    def test_outputs_pinned(self):
+        digest = hashlib.sha256()
+        for c in _families_under_similarities(1):
+            for column in _report_columns(c, VerifyParams().max_radius):
+                digest.update(column)
+            cc = classify(c)
+            digest.update(repr(cc).encode())
+            rebuilt = regenerate(cc)
+            digest.update(rebuilt.basis.tobytes() + rebuilt.motif.tobytes())
+            digest.update(repr(is_group_balanced(c)).encode())
+        assert digest.hexdigest() == self.SHA256
 
 
 class TestChunkedLatticeKernel:

@@ -760,7 +760,8 @@ class TestCli:
             ["generate", "--family", "triangular", "--side", "2.0"],
             ["generate", "--family", "lattice", "--basis", "1,0;0.2,1.1", "--sets", "vertices,midpoints"],
             ["generate", "--family", "hexagonal", "--sets", "vertices,midpoints,centers"],
-            ["generate", "--family", "line", "--count", "9"],
+            # 15 points: the middle three have their cutoff-6 interval inside
+            ["generate", "--family", "line", "--count", "15"],
             ["generate", "--family", "sphere", "--kind", "cube", "--sets", "vertices,centers"],
             ["generate", "--family", "triangle-group", "--pqr", "2,3,7", "--depth", "3", "--sets", "p_centers,q_centers"],
             ["generate", "--family", "rotation-tiling", "--angles", "40,40,40", "--order", "3", "--depth", "2", "--sets", "vertices"],
@@ -1043,6 +1044,11 @@ class TestCli:
             (["verify", "{tmp}/tripled.json"], "points [0.0, 0.0] and [0.0, 0.0] coincide"),
             (["symmetry", "{tmp}/tripled.json"], "points [0.0, 0.0] and [0.0, 0.0] coincide"),
             (["verify", "{tmp}/sphere_repeated.json"], "points [1.0, 0.0, 0.0] and [1.0, 0.0, 0.0] coincide"),
+            # finite windows in which no point can be checked
+            (["verify", "{tmp}/scattered.json"], "no point of the window has its neighborhood"),
+            (["symmetry", "{tmp}/scattered.json"], "no point of the window has its validation window"),
+            (["verify", "{tmp}/line9.json"], "no point of the window has its neighborhood"),
+            (["symmetry", "{tmp}/line9.json"], "no point of the window has its validation window"),
         ],
     )
     def test_typed_refusals_exit_two(self, capsys, tmp_path, argv, message):
@@ -1055,6 +1061,8 @@ class TestCli:
             ),
             "hex": document_from(gen_hexagonal(1.0, SubsetFlags(True, False, False))),
             "ngon": document_from(gen_sphere("ngon(8)", SubsetFlags(True, False, False))),
+            "scattered": ConfigDocument("euclidean2", "finite", ((0.0, 0.0), (1.0, 0.0), (0.0, 3.0), (5.0, 7.0))),
+            "line9": document_from(gen_line(9, 1.0)),
         }
         for name, doc in docs.items():
             (tmp_path / f"{name}.json").write_text(serialize(doc))

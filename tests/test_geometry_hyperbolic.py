@@ -13,7 +13,7 @@ from scipy.optimize import minimize_scalar
 from balanced_configs import hyperbolic
 from balanced_configs.configs import FinitePointSet, PeriodicConfig, _pair_dists
 from balanced_configs.errors import DegenerateDirectionError, InvalidPointError, ParameterDomainError
-from balanced_configs.geometry import Tolerance, as_vec
+from balanced_configs.geometry import Tolerance, as_vec, row_norms
 from balanced_configs.hyperbolic import (
     _half_turn,
     _log_dir,
@@ -140,6 +140,64 @@ class TestPlaneAndSphereBasics:
         ):
             with pytest.raises(ParameterDomainError):
                 Tolerance(**bad)
+
+
+def _norm_rows(seed, n, cols):
+    """Seeded rows with coordinates of either sign and magnitude 1e-150 to
+    1e150, some rows at one scale (so no term is negligible), and rows and
+    coordinates of signed zeros."""
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([-1.0, 1.0], size=(n, cols))
+    x = sign * 10.0 ** rng.uniform(-150.0, 150.0, size=(n, cols))
+    x[: n // 4] = sign[: n // 4] * rng.random((n // 4, cols)) * 10.0 ** rng.uniform(-150.0, 150.0, size=(n // 4, 1))
+    zero = rng.random((n, cols)) < 0.1
+    x[zero] = np.copysign(0.0, sign[zero])
+    x[-2:] = [[0.0] * cols, [-0.0] * cols]
+    return x
+
+
+# rows whose norm passes the float range: a square that overflows, and on
+# three columns squares that fit but whose sum does not
+_OVERFLOW_ROWS = {
+    2: ([1e200, 0.0], [-1.2e154, 1.2e154], [0.0, -1e300]),
+    3: ([1e200, 0.0, 0.0], [1e154, -1e154, 1e154], [0.0, 0.0, 1e160]),
+}
+
+
+class TestRowNorms:
+    """geometry.row_norms, the one Euclidean row-norm kernel, against
+    np.linalg.norm(x, axis=-1), bit for bit."""
+
+    @pytest.mark.parametrize("cols", [2, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bits_match_linalg_norm(self, seed, cols):
+        x = _norm_rows(seed, 4000, cols)
+        assert row_norms(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+        # stacked and strided layouts, as the kernels pass them
+        stacked = x.reshape(10, 20, 20, cols)
+        assert row_norms(stacked).tobytes() == np.linalg.norm(stacked, axis=-1).tobytes()
+        cols_first = np.ascontiguousarray(x.T).T
+        assert row_norms(cols_first).tobytes() == np.linalg.norm(cols_first, axis=-1).tobytes()
+        assert row_norms(x[::3]).tobytes() == np.linalg.norm(x[::3], axis=-1).tobytes()
+
+    @pytest.mark.parametrize("cols", [2, 3])
+    def test_column_norms_of_a_matrix(self, cols):
+        inv = _norm_rows(4, cols, cols)
+        assert row_norms(inv.T).tobytes() == np.linalg.norm(inv, axis=0).tobytes()
+
+    @pytest.mark.parametrize("cols", [2, 3])
+    def test_overflow_warns_as_linalg_norm_does(self, cols):
+        finite = _norm_rows(5, 8, cols)
+        for row in _OVERFLOW_ROWS[cols]:
+            x = np.vstack([finite, row])
+            # the RuntimeWarning is an error under this suite's filter
+            with pytest.raises(RuntimeWarning, match="overflow encountered"):
+                np.linalg.norm(x, axis=-1)
+            with pytest.raises(RuntimeWarning, match="overflow encountered"):
+                row_norms(x)
+            with np.errstate(over="ignore"):
+                got, want = row_norms(x), np.linalg.norm(x, axis=-1)
+            assert got.tobytes() == want.tobytes() and got[-1] == math.inf
 
 
 class TestDiskMetric:

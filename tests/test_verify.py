@@ -172,10 +172,15 @@ class TestVerifyPlane:
         assert report.passed
 
     def test_finite_window_can_be_empty(self):
+        # no point of a 6-point line has its cutoff-3 interval inside the
+        # line, and a report over no point would pass vacuously
         c = gen_line(6, 1.0)
-        report = verify_plane(c, VerifyParams(max_radius=3.0))
-        assert report.verified_points == 0
-        assert report.checks == []
+        with pytest.raises(InsufficientPatchError, match="no point of the window"):
+            verify_plane(c, VerifyParams(max_radius=3.0))
+        # nor of four scattered points, inside their hull
+        c = FinitePointSet("plane", [(0.0, 0.0), (1.0, 0.0), (0.0, 3.0), (5.0, 7.0)])
+        with pytest.raises(InsufficientPatchError, match="no point of the window"):
+            verify_plane(c)
 
     def test_periodic_path_leaves_scipy_spatial_unloaded(self):
         # the lattice-translate kernel is numpy only; scipy.spatial would add
@@ -734,7 +739,13 @@ class TestChecksView:
         assert not hasattr(checks, "append")
 
     def test_empty_report(self):
-        report = verify_plane(gen_line(6, 1.0), VerifyParams(max_radius=3.0))
+        # no verifier returns one (a window with no verifiable point is
+        # refused), but a report of empty columns is still a report
+        report = BalanceReport(
+            np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int), np.zeros((0, 2)),
+            cutoff=3.0,
+            residual_tol=1e-9,
+        )
         assert len(report.checks) == 0 and report.checks == [] and list(report.checks) == []
         assert report.passed and report.worst_residual == 0.0 and report.failing == []
 
