@@ -17,8 +17,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .classify import UNKNOWN, classify, is_group_balanced, rotation_symmetries_about
 from .configs import PatchConfig, PeriodicConfig
@@ -152,17 +150,7 @@ def _emit_report(args, verdict, details):
         "verdict": verdict,
         "details": details,
     }
-    print(json.dumps(report, indent=2, default=_jsonable))
-
-
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
+    print(json.dumps(report, indent=2))
 
 
 def _tolerance(args):

@@ -422,22 +422,6 @@ def _intern_midpoints(mids, classes):
     return np.array(store.pos, dtype=complex), kept
 
 
-def _tile_key(tile):
-    """An integer that identifies a tile by its set of vertex indices, as
-    frozenset(tile) does: the sorted triple a <= b <= c in 32-bit fields,
-    with a repeated vertex always written as (a, c, c)."""
-    a, b, c = tile
-    if a > b:
-        a, b = b, a
-    if b > c:
-        b, c = c, b
-        if a > b:
-            a, b = b, a
-    if a == b:
-        b = c
-    return (a << 64) | (b << 32) | c
-
-
 def _grow(angles, depth, turn, swap, order):
     """Tile the disk by the triangle with the given angles, crossing the open
     edge nearest the origin first, until that edge is depth * 2/3 * (longest
@@ -458,7 +442,11 @@ def _grow(angles, depth, turn, swap, order):
 
     Edges live in a table indexed by the order they were pushed, which also
     breaks heap ties; an edge is found by the integer key (u << 32) | v of
-    its ends u < v, and a tile by _tile_key.  Midpoints are checked in bulk
+    its ends u < v.  Tiles need no table of their own: every edge of every
+    tile is in the edge table, and an edge stays open only while one tile
+    holds it, so the tile across an open edge can already exist only as that
+    edge's own tile, when the move gives back its opposite vertex; it must
+    then come back in the same roles.  Midpoints are checked in bulk
     by _intern_midpoints whenever the edge count has doubled since the last
     check, before any other growth error is raised, and at the end, so a
     midpoint fault stops the growth within twice the work that reached it.
@@ -473,7 +461,6 @@ def _grow(angles, depth, turn, swap, order):
     rad = [radial_dist(abs(z)) for z in pos]  # distance of each vertex from the origin
     roles = [0, 1, 2]
 
-    tiles = {_tile_key((0, 1, 2)): (0, 1, 2)}
     # the edge table: edge index by the key of its ends; then per edge its
     # ends, first tile, class, midpoint, and whether it is still open
     edge_at = {}
@@ -530,13 +517,10 @@ def _grow(angles, depth, turn, swap, order):
                 i, j = _ENDS[k]
                 new_tile[i], new_tile[j] = tile[j], tile[i]
             new_tile = tuple(new_tile)
-            key = _tile_key(new_tile)
-            prev = tiles.get(key)
-            if prev is not None:
-                if prev != new_tile:
+            if nidx == tile[k]:  # the tile across e is e's own tile
+                if new_tile != tile:
                     raise RuntimeError("inconsistent tile roles in hyperbolic tiling")
                 continue
-            tiles[key] = new_tile
             push(new_tile, order(new_tile, (u, v)))
             if len(emid) >= 2 * checked:
                 checked = len(emid)
@@ -549,7 +533,7 @@ def _grow(angles, depth, turn, swap, order):
                 f"depth {depth} reaches tiles too close to the disk boundary to resolve: {exc}"
             ) from exc
         raise
-    del tiles, edge_at, etile, heap  # free the tables before the arrays are made
+    del edge_at, etile, heap  # free the tables before the arrays are made
     mids, mid_classes = _intern_midpoints(emid, eclass)
     out = np.array(pos, dtype=complex), np.array(roles, np.int8), mids, np.array(mid_classes, np.int8)
     for a in out:

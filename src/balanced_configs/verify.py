@@ -175,6 +175,21 @@ def _balance(c, bases, cutoff, tol, residual, note):
     )
 
 
+def _checkable_bases(c, reach, cutoff, tol):
+    """The base points whose neighborhood out to reach is known, or
+    InsufficientPatchError, stated for the cutoff, when there are none."""
+    bases = _base_points_for(c, reach, tol)
+    if len(bases) == 0:
+        if isinstance(c, PatchConfig):
+            raise InsufficientPatchError(
+                f"no point has verifiable_radius >= {cutoff}; patch_radius is {c.patch_radius}"
+            )
+        raise InsufficientPatchError(
+            f"no point of the window has its neighborhood out to the cutoff {cutoff:.6g} inside the window"
+        )
+    return bases
+
+
 def _displacement(bases, owner, pts, starts, sizes):
     return np.add.reduceat(pts, starts) - sizes[:, None] * bases[owner[starts]]
 
@@ -190,11 +205,7 @@ def verify_plane(c, params=VerifyParams()):
     if c.space != "plane":
         raise ValueError("verify_plane requires a PeriodicConfig or a planar FinitePointSet")
     cutoff = params.max_radius * _unit_distance(c, tol)
-    bases = _base_points_for(c, cutoff, tol)
-    if len(bases) == 0:
-        raise InsufficientPatchError(
-            f"no point of the window has its neighborhood out to the cutoff {cutoff:.6g} inside the window"
-        )
+    bases = _checkable_bases(c, cutoff, cutoff, tol)
     if isinstance(c, PeriodicConfig):
         note = "verified motif representatives; translation covers the rest"
     else:
@@ -252,21 +263,19 @@ def verify_hyperbolic(c, params=VerifyParams()):
         raise InsufficientPatchError("patch holds fewer than two points")
     tol = params.tol
     cutoff = params.max_radius
-    bases = _base_points_for(c, cutoff - 1e-12, tol)
-    if len(bases) == 0:
-        raise InsufficientPatchError(
-            f"no point has verifiable_radius >= {cutoff}; patch_radius is {c.patch_radius}"
-        )
+    bases = _checkable_bases(c, cutoff - 1e-12, cutoff, tol)
     return _balance(c, bases, cutoff, tol, _mobius_directions, f"certified patch radius {c.patch_radius}")
 
 
 def max_neighbor_count(c, params=VerifyParams()):
-    """Largest number of minimal-distance neighbors over the verified points."""
+    """Largest number of minimal-distance neighbors over the verified points;
+    like verify_plane and verify_hyperbolic, raises InsufficientPatchError
+    when no point can be checked."""
     tol = params.tol
     min_d = _unit_distance(c, tol)
     reach = min_d + tol.class_tol if c.space == "disk" else params.max_radius * min_d
-    bases = _base_points_for(c, reach, tol)
-    return int(_min_neighbor_counts(c, bases, min_d, tol).max(initial=0))
+    bases = _checkable_bases(c, reach, reach, tol)
+    return int(_min_neighbor_counts(c, bases, min_d, tol).max())
 
 
 def check_min_distance_property(c, window=None, tol=DEFAULT_TOL):

@@ -4,6 +4,7 @@ reduction."""
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -38,8 +39,17 @@ from balanced_configs.errors import (
     ParameterDomainError,
     ValidationError,
 )
-from balanced_configs.generators import SubsetFlags, gen_hexagonal, gen_lattice, gen_triangular
-from balanced_configs.geometry import DEFAULT_TOL, Tolerance, basis_defect
+from balanced_configs.generators import (
+    RotationTilingParams,
+    SubsetFlags,
+    TriangleGroupParams,
+    gen_hexagonal,
+    gen_lattice,
+    gen_line,
+    gen_sphere,
+    gen_triangular,
+)
+from balanced_configs.geometry import DEFAULT_TOL, Tolerance, as_vec, basis_defect
 from balanced_configs.hyperbolic import hyp_dist
 from balanced_configs.verify import VerifyParams, verify_plane
 
@@ -677,3 +687,47 @@ class TestContains:
         c = PeriodicConfig(np.eye(2), np.array([[0.0, 0.0]]))
         assert contains(c, (1.0 - 1e-12, 1e-12))
         assert contains(c, (-3.0, 7.0))
+
+
+_NAN = float("nan")
+_SQUARE = PeriodicConfig(np.eye(2), [(0.0, 0.0)])
+_ROTATION_ANGLES = tuple(math.radians(a) for a in (40, 40, 40))
+
+
+class TestConstructorRefusals:
+    """Every argument check of the containers and the generator parameters
+    refuses with its own type and message."""
+
+    @pytest.mark.parametrize(
+        "call, exc_type, fragment",
+        [
+            (lambda: PeriodicConfig(np.eye(3), [(0.0, 0.0)]), InvalidPointError, "basis must be a 2x2 matrix"),
+            (lambda: PeriodicConfig(np.eye(2), np.zeros((0, 2))), InvalidPointError, "motif must be a nonempty (k, 2)"),
+            (lambda: PeriodicConfig(np.eye(2), [(0.0, 0.0, 0.0)]), InvalidPointError, "motif must be a nonempty (k, 2)"),
+            (lambda: PeriodicConfig(np.eye(2), [(_NAN, 0.0)]), InvalidPointError, "motif coordinates must be finite"),
+            (lambda: PeriodicConfig(np.eye(2), [(0.0, 0.0)], labels=("a", "b")), InvalidPointError, "align with the motif"),
+            (lambda: _SQUARE.transformed(scale=0.0), ValueError, "scale must be positive"),
+            (lambda: _SQUARE.supercell(0, 2), ValueError, "supercell factors must be >= 1"),
+            (lambda: FinitePointSet("torus", np.zeros((1, 2))), InvalidPointError, "space must be one of"),
+            (lambda: FinitePointSet("plane", np.zeros((2, 3))), InvalidPointError, "points must be an (n, 2) array"),
+            (lambda: FinitePointSet("plane", [(math.inf, 0.0)]), InvalidPointError, "point coordinates must be finite"),
+            (lambda: FinitePointSet("plane", [(0.0, 0.0)], labels=("a", "b")), InvalidPointError, "align with the points"),
+            (lambda: PatchConfig([(0.0, 0.0)], -1.0), InvalidPointError, "patch_radius must be a nonnegative finite"),
+            (lambda: PatchConfig([(0.0, 0.0)], _NAN), InvalidPointError, "patch_radius must be a nonnegative finite"),
+            (lambda: PatchConfig([(0.0, 0.0)], 1.0, labels=("a", "b")), InvalidPointError, "align with the points"),
+            (lambda: TriangleGroupParams(2, 3, 7, -1), ParameterDomainError, "depth must be a nonnegative integer"),
+            (lambda: TriangleGroupParams(2, 3, 7, 1.0), ParameterDomainError, "depth must be a nonnegative integer"),
+            (lambda: TriangleGroupParams(1, 3, 7, 2), ParameterDomainError, "p must be an integer >= 2"),
+            (lambda: TriangleGroupParams(2, 3.0, 7, 2), ParameterDomainError, "q must be an integer >= 2"),
+            (lambda: RotationTilingParams(*_ROTATION_ANGLES, 2, 1), ParameterDomainError, "m must be an integer >= 3"),
+            (lambda: gen_hexagonal(0.0, SubsetFlags(True, False, False)), ParameterDomainError, "side must be positive"),
+            (lambda: gen_line(5, 0.0), ParameterDomainError, "spacing must be positive"),
+            (lambda: gen_sphere("ngon", SubsetFlags(True, False, False)), ParameterDomainError, "integer vertex count n >= 2"),
+            (lambda: gen_sphere("ngon", SubsetFlags(True, False, False), n=1), ParameterDomainError, "integer vertex count"),
+            (lambda: as_vec((_NAN, 0.0), 2), InvalidPointError, "coordinates must be finite"),
+        ],
+    )
+    def test_refusal(self, call, exc_type, fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)) as info:
+            call()
+        assert info.type is exc_type

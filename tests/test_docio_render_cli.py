@@ -810,6 +810,17 @@ class TestCli:
         notes = _report(out)["details"]["notes"]
         assert any("clamped" in n for n in notes)
 
+    @pytest.mark.parametrize("mode", ["scalar_multiple", "tangent_projection"])
+    def test_verify_sphere_single_mode(self, capsys, tmp_path, mode):
+        path = tmp_path / "cube.json"
+        path.write_text(serialize(document_from(gen_sphere("cube", SubsetFlags(True, False, False)))))
+        code, out, _ = _run(capsys, ["verify", str(path), "--mode", mode])
+        assert code == 0
+        details = _report(out)["details"]
+        code, out, _ = _run(capsys, ["verify", str(path), "--mode", "both"])
+        assert code == 0
+        assert details == {mode: _report(out)["details"][mode]}
+
     def test_verify_usage_errors(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["verify", str(tmp_path / "missing.json")])
         assert code == 2 and "error" in err

@@ -478,6 +478,17 @@ class TestNeighborCounts:
         count = max_neighbor_count(c)
         assert count >= 1
 
+    def test_no_checkable_point_is_refused(self):
+        # (0, 0) and (1, 0) are each other's nearest neighbours, but no
+        # point's cutoff-ball lies inside the window, and a patch of radius 0
+        # certifies no point's neighbourhood
+        window = FinitePointSet("plane", [(0.0, 0.0), (1.0, 0.0), (0.0, 3.0), (5.0, 7.0)])
+        with pytest.raises(InsufficientPatchError, match="no point of the window"):
+            max_neighbor_count(window)
+        patch = gen_hyp_triangle_group(TriangleGroupParams(2, 3, 7, 2), TriangleGroupFlags(True, False, False))
+        with pytest.raises(InsufficientPatchError, match="no point has verifiable_radius"):
+            max_neighbor_count(PatchConfig(patch.points, 0.0))
+
 
 class TestCoincidentPoints:
     """A minimal distance within dedup_tol is refused wherever it serves as
