@@ -118,16 +118,19 @@ def _rotation_angles(c, bases, min_d, tol):
             first = classes[0].points if classes else first
             radius *= 2.0
         rel = (first[:, 0] - p[0]) + 1j * (first[:, 1] - p[1])
-        angles = {round(math.pi, 12)} if len(rel) else set()
+        # each reported angle, rounded to 12 decimals, keeps the first
+        # unrounded angle under it for its rotor: at a window radius of 4e4
+        # the rounding alone moves a point by more than dedup_tol
+        angles = {round(math.pi, 12): math.pi} if len(rel) else {}
         for w in rel:
             ang = cmath.phase(w / rel[0]) % (2.0 * math.pi)
             if 1e-9 < ang < 2.0 * math.pi - 1e-9:
-                angles.add(round(ang, 12))
-        cands.append(sorted(angles))
+                angles.setdefault(round(ang, 12), ang)
+        cands.append(sorted(angles.items()))
     # probes: every window point of every base, under each of its candidates
     cand_owner = np.repeat(np.arange(len(bases)), [len(a) for a in cands])
-    cand_angle = [a for angles in cands for a in angles]
-    rotors = np.array([cmath.exp(1j * a) for a in cand_angle], dtype=complex)
+    cand_angle = [a for angles in cands for a, _ in angles]
+    rotors = np.array([cmath.exp(1j * exact) for angles in cands for _, exact in angles], dtype=complex)
     probe_cand = np.repeat(np.arange(len(cand_owner)), count[cand_owner])
     probe = _ranges(start[cand_owner], count[cand_owner])
     centre = bases[owner[probe]]
@@ -265,10 +268,9 @@ def classify(c, tol=DEFAULT_TOL):
 
     Unknown is the verdict for input that fits no family, including the
     domain and numeric failures of the period search, the family tests and
-    the rebuild: ValueError (periods that span no rank-2 lattice, a
-    degenerate cell, recovered parameters no generator accepts; numpy's
-    LinAlgError is one) and AmbiguousClassError.  Any other exception is a
-    bug and propagates.
+    the rebuild: ValueError (a degenerate cell, recovered parameters no
+    generator accepts; numpy's LinAlgError is one) and AmbiguousClassError.
+    Any other exception is a bug and propagates.
     """
     if c.space != "plane":
         raise ValueError("classification requires planar input")

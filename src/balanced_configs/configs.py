@@ -49,18 +49,42 @@ from . import hyperbolic
 from .errors import AmbiguousClassError, InvalidPointError, NoPairsError, ParameterDomainError
 from .geometry import (
     DEFAULT_TOL,
+    SPACE_RULE,
     as_complex,
     as_vec,
     basis_defect,
-    in_open_disk,
     lagrange_reduce,
     points_admitted,
     row_norms,
 )
 
 _SPACES = ("plane", "sphere", "disk")
-# what the points of each space must do, by geometry.points_admitted
-_SPACE_RULE = {"plane": "have coordinates within +-1e100", "sphere": "have unit norm", "disk": "satisfy |z| < 1"}
+
+
+def _admitted_points(c):
+    """The container's points as an (n, 2) float array, (n, 3) on the
+    sphere, of finite rows that geometry.points_admitted admits;
+    InvalidPointError, naming the first offender, otherwise."""
+    dim = _dim(c)
+    pts = np.asarray(c.points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise InvalidPointError(f"points must be an (n, {dim}) array for space {c.space!r}")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidPointError("point coordinates must be finite")
+    ok = points_admitted(c.space, pts)
+    if not ok.all():
+        raise InvalidPointError(f"{c.space} points must {SPACE_RULE[c.space]} (first offender: index {ok.argmin()})")
+    return pts
+
+
+def _aligned_labels(labels, n, of):
+    """labels as a tuple of one label per point of the container, or None."""
+    if labels is None:
+        return None
+    labels = tuple(labels)
+    if len(labels) != n:
+        raise InvalidPointError(f"labels must align with the {of}")
+    return labels
 
 
 @dataclass(eq=False)
@@ -90,10 +114,7 @@ class PeriodicConfig:
         motif = np.mod(motif, 1.0)
         motif[motif >= 1.0] -= 1.0  # np.mod rounds tiny negatives up to exactly 1.0
         self.motif = motif
-        if self.labels is not None:
-            self.labels = tuple(self.labels)
-            if len(self.labels) != len(self.motif):
-                raise InvalidPointError("labels must align with the motif")
+        self.labels = _aligned_labels(self.labels, len(motif), "motif")
         if _motif_gap(self) <= DEFAULT_TOL.dedup_tol:
             raise InvalidPointError("motif points must be pairwise distinct modulo the lattice")
 
@@ -146,22 +167,8 @@ class FinitePointSet:
     def __post_init__(self):
         if self.space not in _SPACES:
             raise InvalidPointError(f"space must be one of {_SPACES}, got {self.space!r}")
-        dim = _dim(self)
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != dim:
-            raise InvalidPointError(f"points must be an (n, {dim}) array for space {self.space!r}")
-        if not np.all(np.isfinite(pts)):
-            raise InvalidPointError("point coordinates must be finite")
-        ok = points_admitted(self.space, pts)
-        if not ok.all():
-            raise InvalidPointError(
-                f"{self.space} points must {_SPACE_RULE[self.space]} (first offender: index {ok.argmin()})"
-            )
-        self.points = pts
-        if self.labels is not None:
-            self.labels = tuple(self.labels)
-            if len(self.labels) != len(pts):
-                raise InvalidPointError("labels must align with the points")
+        self.points = _admitted_points(self)
+        self.labels = _aligned_labels(self.labels, len(self.points), "points")
 
     @property
     def n(self):
@@ -179,17 +186,10 @@ class PatchConfig:
     _index: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
-        ok = in_open_disk(as_complex(pts))
-        if not ok.all():
-            raise InvalidPointError(f"patch points must lie in the open unit disk (first offender: index {ok.argmin()})")
+        self.points = _admitted_points(self)
         if not (math.isfinite(self.patch_radius) and self.patch_radius >= 0.0):
             raise InvalidPointError("patch_radius must be a nonnegative finite number")
-        self.points = pts
-        if self.labels is not None:
-            self.labels = tuple(self.labels)
-            if len(self.labels) != len(pts):
-                raise InvalidPointError("labels must align with the points")
+        self.labels = _aligned_labels(self.labels, len(self.points), "points")
 
     @property
     def n(self):
@@ -558,25 +558,31 @@ def min_distance(c, tol=DEFAULT_TOL):
             reach = bound * (1.0 + 1e-9) + tol.class_tol
             c._min_d[key] = float(_neighbors(red, red.cartesian_motif(), reach, tol.dedup_tol)[2].min())
         return c._min_d[key]
+    return _measured_pair(c)[0]
+
+
+def _measured_pair(c):
+    """_closest_pair of a finite set, or of a patch's certified window:
+    fringe points beyond patch_radius carry no completeness guarantee and
+    are excluded from global statistics (unless the window holds fewer than
+    two points)."""
     if isinstance(c, PatchConfig):
-        # Restrict to the certified window: fringe points beyond patch_radius
-        # carry no completeness guarantee and are excluded from global
-        # statistics (unless the window holds fewer than two points).
         mask = c.center_dists() <= c.patch_radius + 1e-12
         if 2 <= int(mask.sum()) < c.n:
             c = FinitePointSet("disk", c.points[mask])
     if c.n < 2:
         raise NoPairsError("at least two points are required for a minimal distance")
-    return _closest_pair(c)[0]
+    return _closest_pair(c)
 
 
 def _unit_distance(c, tol):
     """min_distance(c, tol) as the unit of a cutoff or a search radius,
-    refused with NoPairsError, naming the pair, when two points coincide
-    within dedup_tol (periodic input cannot: its kernel drops such pairs)."""
+    refused with NoPairsError, naming the pair it measured, when two points
+    coincide within dedup_tol (periodic input cannot: its kernel drops such
+    pairs)."""
     d = min_distance(c, tol)
     if d <= tol.dedup_tol:
-        _, p, q = _closest_pair(c)
+        _, p, q = _measured_pair(c)
         raise NoPairsError(
             f"points {p.tolist()} and {q.tolist()} coincide: their distance {d!r} "
             f"is within dedup_tol {tol.dedup_tol!r}"
@@ -697,31 +703,17 @@ def _windowed_plane_bases(pts, cutoff, tol):
     return np.nonzero(keep)[0]
 
 
-def _hnf_rows(rows):
-    """Hermite-style upper triangular basis of the integer row span of rows."""
-    rows = [list(map(int, r)) for r in rows if any(r)]
-    # eliminate the first column down to a single pivot
-    while True:
-        nz = [r for r in rows if r[0] != 0]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda r: abs(r[0]))
-        small, big = nz[0], nz[1]
-        q = big[0] // small[0]
-        big[0] -= q * small[0]
-        big[1] -= q * small[1]
-        rows = [r for r in rows if any(r)]
-    pivot0 = next((r for r in rows if r[0] != 0), None)
-    seconds = [r[1] for r in rows if r[0] == 0 and r[1] != 0]
-    if pivot0 is None or not seconds:
-        raise ValueError("rows do not span a rank-2 sublattice")
-    g = 0
-    for s in seconds:
-        g = math.gcd(g, abs(s))
-    if pivot0[0] < 0:
-        pivot0 = [-pivot0[0], -pivot0[1]]
-    pivot0[1] %= g
-    return np.array([pivot0, [0, g]], dtype=float)
+def _finer_lattice(q, p):
+    """Hermite rows [[d, b], [0, g]] of the lattice qZ^2 + Zp, 0 <= p <= q,
+    and its index q^2 / (d g) over qZ^2.  d = gcd(q, p0) is the gcd of the
+    first column; the vectors with first coordinate 0 are spanned by (0, q)
+    and (q / d) p - (p0 / d) (q, 0), so g = gcd(q, (q / d) p1); and
+    u p + v (q, 0) = (d, u p1) with u = (p0 / d)^-1 mod q / d."""
+    p0, p1 = int(p[0]), int(p[1])
+    d = math.gcd(q, p0)
+    g = math.gcd(q, q // d * p1)
+    b = pow(p0 // d, -1, q // d) * p1 % g
+    return np.array([[d, b], [0, g]], dtype=float), q * q // (d * g)
 
 
 def _period_denominator(frac, kmax, tol=1e-6):
@@ -739,9 +731,11 @@ def primitive_periods(c, tol=DEFAULT_TOL):
     carries motif[0] onto the motif, so one membership probe of motif[0]
     translated by every candidate comes first, and only the candidates it
     keeps have every other translated motif point probed.  A valid
-    period t extends the lattice to L + Zt, whose basis is recovered through
-    an integer Hermite reduction; the motif is then re-reduced and deduplicated
-    in the finer lattice.  Iterates until no candidate survives.
+    period t = p / q in fractional coordinates extends the lattice to
+    L + Zt, whose basis comes from the closed-form Hermite rows of
+    qZ^2 + Zp; the motif is then re-reduced and deduplicated in the finer
+    lattice, and must have shrunk by exactly the lattice's integer index.
+    Iterates until no candidate survives.
     """
     cur = canonical_basis(c)
     while cur.k > 1:
@@ -764,13 +758,10 @@ def primitive_periods(c, tol=DEFAULT_TOL):
             q, pvec = _period_denominator(dfrac, cur.k)
             if q is None:
                 continue
-            hnf = _hnf_rows([[q, 0], [0, q], list(pvec)])
-            new_basis = (hnf / q) @ cur.basis
-            inv = np.linalg.inv(new_basis)
-            frac = np.mod(cart @ inv, 1.0)
-            new_motif = _dedup_fracs(frac, new_basis, tol)
-            index = abs(np.linalg.det(cur.basis) / np.linalg.det(new_basis))
-            if abs(index - round(index)) > 1e-9 or len(new_motif) * round(index) != cur.k:
+            rows, index = _finer_lattice(q, pvec)
+            new_basis = (rows / q) @ cur.basis
+            new_motif = _dedup_fracs(np.mod(cart @ np.linalg.inv(new_basis), 1.0), new_basis, tol)
+            if len(new_motif) * index != cur.k:
                 continue
             cur = canonical_basis(PeriodicConfig(new_basis, new_motif))
             break

@@ -30,7 +30,7 @@ import numpy as np
 
 from .configs import FinitePointSet, PatchConfig, PeriodicConfig
 from .errors import InvalidPointError, ValidationError
-from .geometry import basis_defect, points_admitted
+from .geometry import SPACE_RULE, basis_defect, points_admitted
 
 SPACES = ("euclidean2", "sphere2", "hyperbolic2")
 KINDS = ("finite", "periodic", "patch")
@@ -45,12 +45,6 @@ _RUNTIME_SPACE = {"euclidean2": "plane", "sphere2": "sphere", "hyperbolic2": "di
 _DOC_SPACE = {v: k for k, v in _RUNTIME_SPACE.items()}
 
 _TOP_LEVEL_FIELDS = {"space", "kind", "basis", "motif", "points", "patch_radius", "metadata"}
-# what the points of each space must do, by geometry.points_admitted
-_SPACE_RULE = {
-    "euclidean2": "have coordinates within +-1e100",
-    "sphere2": "be a unit vector",
-    "hyperbolic2": "lie strictly inside the unit disk",
-}
 
 # coordinate rows per %-format in serialize, which bounds the template and
 # the float objects alive at once to one block's worth
@@ -198,7 +192,7 @@ def parse_config(text):
         ok = points_admitted(_RUNTIME_SPACE[space], points)
         if not ok.all():
             where = f"points[{ok.argmin()}]"
-            raise ValidationError(f"{where} must {_SPACE_RULE[space]}", field=where)
+            raise ValidationError(f"{where} must {SPACE_RULE[_RUNTIME_SPACE[space]]}", field=where)
         if kind == "patch":
             if "patch_radius" not in raw:
                 raise ValidationError("patch documents require 'patch_radius'", field="patch_radius")

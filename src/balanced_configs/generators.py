@@ -276,19 +276,19 @@ def parse_sphere_kind(kind):
     return kind, None
 
 
-def gen_sphere(kind, flags, n=None):
+def gen_sphere(kind, flags):
     """Vertices / edge midpoints / face centers of a regular spherical tiling.
 
-    kind is one of the five Platonic solids, or "ngon" (equivalently
-    "ngon(n)") for the tiling by two regular n-gon hemispheres glued along the
-    equator: its vertices are n evenly spaced equatorial points, its edge
-    midpoints the same points rotated by pi/n, and its face centers the poles.
+    kind is the name of one of the five Platonic solids, or "ngon(n)" for the
+    tiling by two regular n-gon hemispheres glued along the equator: its
+    vertices are n evenly spaced equatorial points, its edge midpoints the
+    same points rotated by pi/n, and its face centers the poles.
     """
-    name, parsed_n = parse_sphere_kind(kind) if isinstance(kind, str) else (kind, None)
-    if parsed_n is not None:
-        n = parsed_n
+    if not isinstance(kind, str):
+        raise ParameterDomainError(f"sphere tiling kind must be a string, got {kind!r}")
+    name, n = parse_sphere_kind(kind)
     if name == "ngon":
-        if n is None or not isinstance(n, int) or n < 2:
+        if n is None or n < 2:
             raise ParameterDomainError("ngon requires an integer vertex count n >= 2")
         angles = 2.0 * math.pi * np.arange(n) / n
         shifted = angles + math.pi / n

@@ -78,6 +78,14 @@ def in_open_disk(z):
     return np.abs(z) < 1.0
 
 
+# what points_admitted asks of the points of each space, as refusals word it
+SPACE_RULE = {
+    "plane": "have coordinates within +-1e100",
+    "sphere": "be a unit vector",
+    "disk": "lie strictly inside the unit disk",
+}
+
+
 def points_admitted(space, pts):
     """Whether each row of pts is a point of the space: a row of the plane
     with coordinates within +-1e100 (the bound basis_defect puts on basis

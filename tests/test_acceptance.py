@@ -382,6 +382,24 @@ class TestPlanarClaimSweep:
         assert elapsed < 2.0, f"planar sweep took {elapsed:.2f}s"
 
 
+class TestScaledPlanarClaimSweep:
+    """TestPlanarClaimSweep's inputs with the basis scaled: the verdicts do
+    not depend on scale while the rounding of window points stays within the
+    absolute dedup_tol."""
+
+    @pytest.mark.parametrize("scale", [1e4, 1e5])
+    def test_quarter_grid_motifs(self, scale):
+        grid = [(i / 4.0, j / 4.0) for i in range(4) for j in range(4)][1:]
+        tags = Counter()
+        for name, basis in _SWEEP_LATTICES.items():
+            for extra in (s for k in range(3) for s in itertools.combinations(grid, k)):
+                c = PeriodicConfig(scale * np.array(basis), np.array([(0.0, 0.0), *extra]))
+                tag = classify(c).tag
+                assert (tag != UNKNOWN) == verify_plane(c).passed == is_group_balanced(c).verdict, (name, extra)
+                tags[tag] += 1
+        assert tags == {UNKNOWN: 456, LATTICE: 15, LATTICE_WITH_MIDPOINTS: 12, TRIANGULAR_LATTICE: 1}
+
+
 class TestGroupBalanceSuite:
     def test_witness_for_every_motif_point(self):
         for name, config in _planar_periodic_families():

@@ -89,6 +89,14 @@ class TestRotationSymmetries:
         with pytest.raises(ValueError):
             rotation_symmetries_about(_square(), (0.25, 0.25))
 
+    @pytest.mark.parametrize("side", [1e3, 1e4])
+    def test_rotors_come_from_unrounded_angles(self, side):
+        # the angles are reported to 12 decimals, but a rotor of the rounded
+        # 3 pi / 2 moves a window point at 4 side by more than dedup_tol
+        angles = rotation_symmetries_about(PeriodicConfig(side * np.eye(2), [(0.0, 0.0)]), (0.0, 0.0))
+        assert angles == [round(a, 12) for a in (TAU / 4, TAU / 2, 3 * TAU / 4)]
+        assert is_group_balanced(PeriodicConfig(side * np.eye(2), [(0.0, 0.0)])).verdict
+
 
 class TestGroupBalance:
     @pytest.mark.parametrize(
@@ -252,6 +260,11 @@ class TestClassify:
         pts = np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 0.3)])
         assert classify(FinitePointSet("plane", pts)).tag == UNKNOWN
 
+    @pytest.mark.parametrize("pts", [[(1.0, 2.0)], [(1.0, 2.0)] * 3])
+    def test_point_and_coincident_points_are_no_line(self, pts):
+        # one point spans no direction, and neither do coincident points
+        assert classify(FinitePointSet("plane", pts)).tag == UNKNOWN
+
     def test_off_center_motif_is_unknown(self):
         c = PeriodicConfig(np.eye(2), [(0.0, 0.0), (0.5, 0.52)])
         assert classify(c).tag == UNKNOWN
@@ -284,10 +297,10 @@ class TestClassify:
     def test_unspanned_periods_are_unknown(self, monkeypatch):
         from balanced_configs import configs
 
-        def unspanned(rows):
-            raise ValueError("rows do not span a rank-2 sublattice")
+        def unspanned(q, p):
+            raise ValueError("injected")
 
-        monkeypatch.setattr(configs, "_hnf_rows", unspanned)
+        monkeypatch.setattr(configs, "_finer_lattice", unspanned)
         assert classify(gen_triangular(1.0).supercell(2, 1)).tag == UNKNOWN
 
 

@@ -3,6 +3,7 @@ translate-scan oracles built independently of the library's lattice
 reduction."""
 import dataclasses
 import hashlib
+import itertools
 import math
 import re
 import tracemalloc
@@ -17,7 +18,7 @@ from balanced_configs.configs import (
     PatchConfig,
     PeriodicConfig,
     _dedup_fracs,
-    _hnf_rows,
+    _finer_lattice,
     _motif_gap,
     _neighbors,
     _period_denominator,
@@ -298,6 +299,34 @@ def _reference_min_distance(c, tol):
     return float(_neighbors(red, red.cartesian_motif(), reach, tol.dedup_tol)[2].min())
 
 
+def _hnf_rows(rows):
+    """Hermite-style upper triangular basis of the integer row span of rows,
+    by repeated division along the first column."""
+    rows = [list(map(int, r)) for r in rows if any(r)]
+    # eliminate the first column down to a single pivot
+    while True:
+        nz = [r for r in rows if r[0] != 0]
+        if len(nz) <= 1:
+            break
+        nz.sort(key=lambda r: abs(r[0]))
+        small, big = nz[0], nz[1]
+        q = big[0] // small[0]
+        big[0] -= q * small[0]
+        big[1] -= q * small[1]
+        rows = [r for r in rows if any(r)]
+    pivot0 = next((r for r in rows if r[0] != 0), None)
+    seconds = [r[1] for r in rows if r[0] == 0 and r[1] != 0]
+    if pivot0 is None or not seconds:
+        raise ValueError("rows do not span a rank-2 sublattice")
+    g = 0
+    for s in seconds:
+        g = math.gcd(g, abs(s))
+    if pivot0[0] < 0:
+        pivot0 = [-pivot0[0], -pivot0[1]]
+    pivot0[1] %= g
+    return np.array([pivot0, [0, g]], dtype=float)
+
+
 def _reference_primitive_periods(c, tol):
     """primitive_periods with every ordered motif pair (i, j), i != j, as a
     candidate period."""
@@ -391,6 +420,14 @@ def _families_under_similarities(seed):
 class TestBoundedPeriodicQueries:
     """The bounded min_distance query and the one-row period search against
     the |v1|-reach query and the all-pairs search, bit for bit."""
+
+    def test_finer_lattice_is_the_row_reduction(self):
+        # every lattice qZ^2 + Zp the period search can form
+        for q in range(2, 49):
+            for p in itertools.product(range(q + 1), repeat=2):
+                rows, index = _finer_lattice(q, p)
+                assert rows.tobytes() == _hnf_rows([[q, 0], [0, q], list(p)]).tobytes(), (q, p)
+                assert index * int(rows[0, 0]) * int(rows[1, 1]) == q * q, (q, p)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_min_distance_matches_full_reach_query(self, seed):
@@ -711,6 +748,10 @@ class TestConstructorRefusals:
             (lambda: FinitePointSet("torus", np.zeros((1, 2))), InvalidPointError, "space must be one of"),
             (lambda: FinitePointSet("plane", np.zeros((2, 3))), InvalidPointError, "points must be an (n, 2) array"),
             (lambda: FinitePointSet("plane", [(math.inf, 0.0)]), InvalidPointError, "point coordinates must be finite"),
+            (lambda: FinitePointSet("disk", np.zeros((3, 4))), InvalidPointError, "points must be an (n, 2) array"),
+            (lambda: PatchConfig(np.zeros((3, 4)), 1.0), InvalidPointError, "points must be an (n, 2) array"),
+            (lambda: PatchConfig(np.zeros(4), 1.0), InvalidPointError, "points must be an (n, 2) array"),
+            (lambda: PatchConfig([(_NAN, 0.0)], 1.0), InvalidPointError, "point coordinates must be finite"),
             (lambda: FinitePointSet("plane", [(0.0, 0.0)], labels=("a", "b")), InvalidPointError, "align with the points"),
             (lambda: PatchConfig([(0.0, 0.0)], -1.0), InvalidPointError, "patch_radius must be a nonnegative finite"),
             (lambda: PatchConfig([(0.0, 0.0)], _NAN), InvalidPointError, "patch_radius must be a nonnegative finite"),
@@ -723,7 +764,8 @@ class TestConstructorRefusals:
             (lambda: gen_hexagonal(0.0, SubsetFlags(True, False, False)), ParameterDomainError, "side must be positive"),
             (lambda: gen_line(5, 0.0), ParameterDomainError, "spacing must be positive"),
             (lambda: gen_sphere("ngon", SubsetFlags(True, False, False)), ParameterDomainError, "integer vertex count n >= 2"),
-            (lambda: gen_sphere("ngon", SubsetFlags(True, False, False), n=1), ParameterDomainError, "integer vertex count"),
+            (lambda: gen_sphere("ngon(1)", SubsetFlags(True, False, False)), ParameterDomainError, "integer vertex count"),
+            (lambda: gen_sphere(5, SubsetFlags(True, False, False)), ParameterDomainError, "kind must be a string, got 5"),
             (lambda: as_vec((_NAN, 0.0), 2), InvalidPointError, "coordinates must be finite"),
         ],
     )

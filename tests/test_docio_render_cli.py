@@ -233,6 +233,7 @@ class TestArrayDocuments:
         assert periodic == ConfigDocument("euclidean2", "periodic", ((-0.0, 0.0),), basis=np.eye(2))
         assert periodic != ConfigDocument("euclidean2", "periodic", ((0.0, 0.0),))
         assert ConfigDocument("euclidean2", "periodic", ((0.0, 0.0),)) != periodic
+        assert periodic != "periodic" and periodic.__eq__(periodic.points) is NotImplemented
         assert ConfigDocument("euclidean2", "finite", ((0.0, 0.0),)) == ConfigDocument(
             "euclidean2", "finite", ((0.0, 0.0),)
         )

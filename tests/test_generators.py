@@ -17,6 +17,7 @@ import pytest
 from scipy.spatial import ConvexHull, cKDTree
 
 import balanced_configs
+from balanced_configs import generators
 from balanced_configs.configs import min_distance, points_within
 from balanced_configs.docio import document_from, serialize
 from balanced_configs.errors import DegenerateDirectionError, InvalidPointError, ParameterDomainError
@@ -166,8 +167,18 @@ class TestSphereFamilies:
         c = gen_sphere("dodecahedron", SubsetFlags(True, True, True))
         assert np.allclose(np.linalg.norm(c.points, axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "name, broken, message",
+        [("_platonic_edges", lambda verts: [], "edge detection for cube found 0 edges"),
+         ("_platonic_faces", lambda kind: np.zeros((0, 3)), "face detection for cube found 0 faces")],
+    )
+    def test_miscounted_edges_or_faces_raise(self, monkeypatch, name, broken, message):
+        monkeypatch.setattr(generators, name, broken)
+        with pytest.raises(RuntimeError, match=message):
+            gen_sphere("cube", SubsetFlags(True, False, False))
+
     def test_ngon_counts_and_poles(self):
-        c = gen_sphere("ngon", SubsetFlags(True, True, True), n=5)
+        c = gen_sphere("ngon(5)", SubsetFlags(True, True, True))
         assert c.n == 5 + 5 + 2
         zs = sorted(p[2] for p in c.points)
         assert zs[0] == pytest.approx(-1.0) and zs[-1] == pytest.approx(1.0)

@@ -90,6 +90,14 @@ class TestCatalog:
         with pytest.raises(SceneError):
             _bisect(lambda x: 1.0, 0.0, 1.0)
 
+    def test_bisect_roots_at_the_ends_and_iteration_cap(self):
+        from balanced_configs.inequalities import _bisect
+
+        assert _bisect(lambda x: x - 0.25, 0.25, 1.0) == 0.25
+        assert _bisect(lambda x: x - 1.0, 0.25, 1.0) == 1.0
+        # three halvings of [0, 1] about 0.3 end on [0.25, 0.375]
+        assert _bisect(lambda x: x - 0.3, 0.0, 1.0, max_iter=3) == 0.3125
+
 
 class TestGapSweep:
     def test_hexagon_gap_is_exact_zero(self):
@@ -116,3 +124,9 @@ class TestGapSweep:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             check_angle_bound_60_90(99)
+
+    def test_sweep_fails_on_a_nonnegative_sum(self, monkeypatch):
+        from balanced_configs import inequalities
+
+        monkeypatch.setattr(inequalities, "greedy_bisector_sum", lambda gap: 0.0 if gap > 120.0 else -1.0)
+        assert not check_angle_bound_60_90(200)

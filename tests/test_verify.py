@@ -489,6 +489,14 @@ class TestNeighborCounts:
         with pytest.raises(InsufficientPatchError, match="no point has verifiable_radius"):
             max_neighbor_count(PatchConfig(patch.points, 0.0))
 
+    def test_coincident_pair_named_from_the_certified_window(self):
+        # the window of radius 0.5 holds the pair 1e-12 apart; the pair
+        # 1e-13 apart lies outside it, where min_distance does not look
+        patch = PatchConfig([(0.0, 0.0), (1e-12, 0.0), (0.1, 0.0), (0.9, 0.0), (0.9, 1e-13)], 0.5)
+        with pytest.raises(NoPairsError) as info:
+            max_neighbor_count(patch)
+        assert str(info.value).startswith("points [0.0, 0.0] and [1e-12, 0.0] coincide: their distance 2e-12")
+
 
 class TestCoincidentPoints:
     """A minimal distance within dedup_tol is refused wherever it serves as
@@ -747,6 +755,7 @@ class TestChecksView:
                 checks[bad]
         assert checks[1:] == built[1:] and checks[::-1] == built[::-1] and checks[5:] == []
         assert isinstance(checks[:2], list)
+        assert checks != tuple(built) and checks.__eq__(tuple(built)) is NotImplemented
         assert not hasattr(checks, "append")
 
     def test_empty_report(self):
